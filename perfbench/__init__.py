@@ -1,0 +1,1 @@
+"""Checked end-to-end benchmark of the CDC engine (see README.md)."""
