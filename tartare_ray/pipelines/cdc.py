@@ -98,10 +98,12 @@ class EngineConfig:
     validate_batch_size: int | None = None  # None -> Ray default (whole blocks)
     applier_concurrency: int | tuple[int, int] | None = None
     compression: str = "zstd"
-    # "cow": rewrite the full partition each epoch (simple reads).
-    # "delta": LSM — write only epoch winners as delta files, fold the
-    # chain at read, compact past compact_chain_len (the 10^10 path:
-    # write amplification O(epoch winners) instead of O(table)).
+    # Both modes write each epoch's winners per partition (the epoch's
+    # change feed).  "cow": also fold the partition into a fresh base
+    # every epoch (simple reads).  "delta": LSM — the winners file is
+    # a chain delta, folded at read and compacted past
+    # compact_chain_len (the 10^10 path: write amplification
+    # O(epoch winners) instead of O(table)).
     write_mode: str = "cow"
     compact_chain_len: int = 8
     # Size-tiered compaction trigger (post-commit pass, hash exchange):
@@ -426,7 +428,7 @@ class CdcEngine:
         self._schema_conflict = conflict[1].path if conflict else None
         epoch = (cur.epoch + 1) if cur is not None else 1
         snap_schema, change_schema = self._epoch_schemas(cur, chosen)
-        # Per-partition file chain in epoch order (cow: length ≤ 1).
+        # Per-partition file chain in epoch order (cow: one base).
         parent_chain: dict[int, list[dict]] = {}
         if cur is not None:
             for pl in sorted(cur.partitions, key=lambda x: (x.p, x.epoch)):
@@ -624,6 +626,7 @@ class CdcEngine:
                 kind=r["kind"],
                 epoch=epoch,
                 apply_ms=float(r.get("apply_ms") or 0.0),
+                feed_file=r.get("feed_file"),
             )
             for r in lineage_rows
         ]
@@ -633,7 +636,7 @@ class CdcEngine:
                     partitions.append(pl)  # untouched: whole chain forward
                 elif touched[pl.p]["kind"] == "delta":
                     partitions.append(pl)  # delta appends to the chain
-                # kind == "base": compaction/CoW replaced the chain — drop
+                # kind == "base": the fold replaced the chain — drop
         partitions.sort(key=lambda pl: (pl.p, pl.epoch))
 
         m = Manifest(
@@ -892,11 +895,14 @@ class CdcEngine:
         table needs per epoch (tartare's per-export publication feed
         analogue).
 
-        Delta-mode epochs serve it straight from their delta files
-        (zero recompute); cow/compaction epochs re-derive it from the
-        log's (parent_watermark, watermark] range with the same
-        associative latest-per-key reduce the applier ran."""
-        import pyarrow.compute as pc
+        Served from the winners files the epoch wrote: each touched
+        partition's delta, or the ``feed_file`` beside a base it
+        folded.  The change log is never read, so the feed survives
+        log archival (``gc_log``).  Epochs that applied no events
+        (compaction, backfill, repartition, column drop) have an empty
+        feed.  Raises ``LookupError`` when the epoch folded events into
+        a base but its manifest predates stored feed files."""
+        import json as _json
 
         from ..stages.kernels import latest_per_key
 
@@ -904,111 +910,58 @@ class CdcEngine:
         feed_schema = pa.schema(
             [CHANGE_SCHEMA.field("op"), CHANGE_SCHEMA.field("lsn")] + list(m.schema)
         )
-        touched = [pl for pl in m.partitions if pl.epoch == epoch]
-        if touched and all(pl.kind == "delta" for pl in touched):
-            import json as _json
-
-            by_p: dict[int, list[str]] = {}
-            for pl in touched:
+        by_p: dict[int, list[str]] = {}
+        for pl in m.partitions:
+            if pl.epoch != epoch:
+                continue  # carried forward from an older epoch
+            if pl.kind == "delta":
                 by_p.setdefault(pl.p, []).append(pl.file)
-            single = [
-                f"{self.table_root}/{fs[0]}" for fs in by_p.values() if len(fs) == 1
-            ]
-            multi = [fs for fs in by_p.values() if len(fs) > 1]
-            feeds = []
-            if single:
-                feeds.append(
-                    ray.data.read_parquet(single).map_batches(
-                        lambda b: conform(b, feed_schema),
-                        batch_format="pyarrow",
-                        zero_copy_batch=True,
-                    )
+            elif pl.feed_file is not None:
+                by_p.setdefault(pl.p, []).append(pl.feed_file)
+            elif pl.events_applied:
+                raise LookupError(
+                    f"epoch {epoch} of {self.table_root!r} folded partition "
+                    f"{pl.p} without keeping its winners file (manifest written "
+                    "before feed files were stored) — its change feed is gone"
                 )
-            if multi:
-                # split-exchange epochs: one part may have several delta
-                # files with ≤1 winner per doc EACH — fold per part by
-                # LSN (task per part, no shuffle)
-                root = self.table_root
-
-                def fold(b: pa.Table) -> pa.Table:
-                    outs = []
-                    for row in b.to_pylist():
-                        ts = [
-                            conform(pq.read_table(f"{root}/{f}"), feed_schema)
-                            for f in _json.loads(row["files_json"])
-                        ]
-                        outs.append(
-                            latest_per_key(pa.concat_tables(ts), "doc_id", "lsn")
-                        )
-                    return pa.concat_tables(outs) if outs else feed_schema.empty_table()
-
-                items = [{"files_json": _json.dumps(fs)} for fs in multi]
-                feeds.append(
-                    ray.data.from_items(items).map_batches(
-                        fold, batch_format="pyarrow", batch_size=1
-                    )
-                )
-            if len(feeds) == 1:
-                return feeds[0]
-            return feeds[0].union(*feeds[1:])
-        if m.parent_watermark_lsn is not None:
-            prev_w = m.parent_watermark_lsn  # denormalized: survives parent GC
-        elif m.parent_epoch is not None:  # pre-field manifest
-            prev_w = load_epoch(self.table_root, m.parent_epoch).watermark_lsn
-        else:
-            prev_w = -1
-        hi = m.watermark_lsn
-        log_files = [
-            f.path
-            for f in list_log_files(self.log_dir)
-            if f.max_lsn > prev_w and f.min_lsn <= hi
-        ]
-        if not log_files:
+        if not by_p:
             return ray.data.from_arrow(feed_schema.empty_table())
-
-        # the re-derived feed must reproduce EXACTLY what the epoch
-        # applied: the validity mask, the configured row-dropping
-        # ingest steps (tombstone-exempt, same as validate), and the
-        # content transforms — otherwise a cow-mode feed diverges from
-        # the committed table (delta-mode feeds are served post-step)
-        row_filters, xform_steps = self._split_ingest_steps()
-
-        def in_range(b: pa.Table) -> pa.Table:
-            from ..stages.validate import VALID_OPS
-
-            ok = pc.and_(
-                pc.and_(pc.is_valid(b["lsn"]), pc.is_valid(b["doc_id"])),
-                pc.is_in(b["op"], value_set=pa.array(VALID_OPS)),
+        single = [f"{self.table_root}/{fs[0]}" for fs in by_p.values() if len(fs) == 1]
+        multi = [fs for fs in by_p.values() if len(fs) > 1]
+        feeds = []
+        if single:
+            feeds.append(
+                ray.data.read_parquet(single).map_batches(
+                    lambda b: conform(b, feed_schema),
+                    batch_format="pyarrow",
+                    zero_copy_batch=True,
+                )
             )
-            keep = pc.and_(
-                pc.fill_null(ok, False),
-                pc.and_(pc.greater(b["lsn"], prev_w), pc.less_equal(b["lsn"], hi)),
-            )
-            b = b.filter(keep)
-            for fn, kw in row_filters:
-                if len(b) == 0:
-                    break
-                is_del = pc.fill_null(pc.equal(b["op"], "D"), False)
-                dels = b.filter(is_del)
-                rest = b.filter(pc.invert(is_del))
-                rest = fn(rest, **kw) if kw else fn(rest)
-                b = pa.concat_tables([dels, rest]) if len(dels) else rest
-            return latest_per_key(conform(b, feed_schema), "doc_id", "lsn")
+        if multi:
+            # split-exchange epochs: one part may have several delta
+            # files with ≤1 winner per doc EACH — fold per part by
+            # LSN (task per part, no shuffle)
+            root = self.table_root
 
-        log_paths, log_fs = resolve_read_paths(log_files)
-        ds = ray.data.read_parquet(log_paths, filesystem=log_fs).map_batches(
-            in_range, batch_format="pyarrow", zero_copy_batch=True
-        )
-        if xform_steps:
-            from ..functions import builtin_steps  # noqa: F401 (register)
-            from ..functions.registry import StepSpec, build_pipeline
+            def fold(b: pa.Table) -> pa.Table:
+                outs = []
+                for row in b.to_pylist():
+                    ts = [
+                        conform(pq.read_table(f"{root}/{f}"), feed_schema)
+                        for f in _json.loads(row["files_json"])
+                    ]
+                    outs.append(latest_per_key(pa.concat_tables(ts), "doc_id", "lsn"))
+                return pa.concat_tables(outs) if outs else feed_schema.empty_table()
 
-            ds = build_pipeline(
-                ds, [StepSpec(name=n, kwargs=dict(kw)) for n, kw in xform_steps]
+            items = [{"files_json": _json.dumps(fs)} for fs in multi]
+            feeds.append(
+                ray.data.from_items(items).map_batches(
+                    fold, batch_format="pyarrow", batch_size=1
+                )
             )
-        return ds.groupby("doc_id").map_groups(
-            lambda g: latest_per_key(g, "doc_id", "lsn"), batch_format="pyarrow"
-        )
+        if len(feeds) == 1:
+            return feeds[0]
+        return feeds[0].union(*feeds[1:])
 
     def history(self) -> list[dict]:
         """Committed-epoch catalog, newest first — the time-travel

@@ -2076,6 +2076,19 @@ def curation_pipeline(sf_dir: str, k: int = 20, gram_k: int = 8) -> ray.data.Dat
         .map_batches(stage1, batch_format="pyarrow", zero_copy_batch=True)
         .materialize()  # consumed twice: winner groupby + join spine
     )
+    if clean.count() == 0:
+        # nothing passed the filters: the dedup join below cannot match
+        # its key on column-less empty blocks (ArrowInvalid), so answer
+        # with the empty sample in the result's schema
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    "lang": pa.array([], pa.string()),
+                    "doc_id": pa.array([], pa.int64()),
+                    "h": pa.array([], pa.int64()),
+                }
+            )
+        )
     winners = _pairs_norm(
         clean.groupby("nh").aggregate(Min("doc_id", alias_name="win_id"))
     )

@@ -10,22 +10,23 @@ hash-partitioned merge-apply (SURVEY.md §2A J2/ST2):
   an actor pool; constructor state (schemas, root paths, parent
   chains) is built once per actor, each ``__call__`` receives ONE
   partition's pre-reduced events as a single Arrow table;
-- two write modes:
-  * ``cow`` (default): load the parent partition file, merge winners,
-    rewrite the whole partition — simplest reads, O(table) write
-    amplification per epoch;
-  * ``delta`` (LSM): write only the epoch's winners (tombstones
-    included) as ``delta-{p}-e{E}.parquet``; a partition's state is
-    the base + ordered delta chain, folded at read by
-    ``stages/compact.py::merge_chain`` and COMPACTED back into a
-    fresh base when the chain exceeds ``compact_chain_len`` —
-    O(epoch winners) write amplification, the 10^10-events path;
+- one write path: each epoch writes the partition's winners
+  (tombstones included) as ``delta-{p}-e{E}.parquet``; a partition's
+  state is the base + ordered delta chain, folded at read by
+  ``stages/compact.py::merge_chain``.  When the chain reaches its fold
+  threshold the same task also folds it into a fresh base
+  ``part-{p}-e{E}.parquet`` and the winners file stays beside it as
+  that epoch's change feed (lineage ``feed_file``).  ``mode="cow"`` is
+  the threshold 1 — every epoch folds, simplest reads, O(table) write
+  amplification; ``mode="delta"`` folds at ``compact_chain_len`` —
+  O(epoch winners) write amplification, the 10^10-events path;
 - schema evolution happens lazily per touched partition: parent files
   are conformed to the epoch's unified schema at load;
 - all writes are deterministic tmp-name + ``os.replace`` so a retried
   task overwrites itself with identical bytes (exactly-once);
-- returns one lineage row per output file (p, file, kind, rows, lsn
-  range, events_applied, bytes) consumed by the manifest commit.
+- returns one lineage row per chain file (p, file, kind, rows, lsn
+  range, events_applied, bytes, feed_file) consumed by the manifest
+  commit.
 
 The base snapshot carries no per-row LSN: every event in epoch E+1 has
 lsn > watermark(E) >= every LSN reflected in the base, so base rows
@@ -43,8 +44,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..schema import conform
-from .compact import DELTA_ENVELOPE, ROW_GROUP_SIZE, merge_chain
-from .kernels import key_hash, latest_per_key
+from .compact import DELTA_ENVELOPE, merge_chain, write_data_file
+from .kernels import latest_per_key
 
 
 def part_file_name(p: int, epoch: int) -> str:
@@ -53,6 +54,19 @@ def part_file_name(p: int, epoch: int) -> str:
 
 def delta_file_name(p: int, epoch: int) -> str:
     return f"delta-{p:05d}-e{epoch:06d}.parquet"
+
+
+def _winners_body(winners: pa.Table, snapshot_schema: pa.Schema) -> pa.Table:
+    """An epoch's winners as stored in its winners (delta) files: the
+    (op, lsn) envelope, the snapshot columns, then the ``doc_hash``
+    cluster column (tombstones kept)."""
+    envelope = pa.schema(
+        [pa.field(n, winners.schema.field(n).type) for n in DELTA_ENVELOPE]
+    )
+    body = conform(winners, snapshot_schema)
+    for name in reversed(DELTA_ENVELOPE):
+        body = body.add_column(0, envelope.field(name), winners[name])
+    return body.append_column("doc_hash", winners["doc_hash"].combine_chunks())
 
 
 class MergeApplier:
@@ -72,106 +86,11 @@ class MergeApplier:
         self.snapshot_schema = snapshot_schema
         self.parent_chain = parent_chain
         self.compression = compression
-        self.mode = mode
-        self.compact_chain_len = compact_chain_len
+        # chain length (parent files + this epoch's) at which the
+        # partition folds into a fresh base; cow folds every epoch
+        self.fold_at = 1 if mode == "cow" else compact_chain_len
         os.makedirs(os.path.join(table_root, "data"), exist_ok=True)
 
-    # -- file IO -------------------------------------------------------------
-    def _read_chain_tables(self, p: int) -> list[pa.Table]:
-        return [
-            pq.read_table(os.path.join(self.table_root, e["file"]))
-            for e in self.parent_chain.get(p, [])
-        ]
-
-    def _write(self, fname: str, tbl: pa.Table) -> str:
-        path = os.path.join(self.table_root, "data", fname)
-        tmp = path + ".inprogress"
-        pq.write_table(
-            tbl, tmp, compression=self.compression, row_group_size=ROW_GROUP_SIZE
-        )
-        os.replace(tmp, path)
-        return path
-
-    def _lineage(self, p, fname, kind, rows, lsn_lo, lsn_hi, applied, path) -> pa.Table:
-        return _lineage_table(
-            [
-                {
-                    "p": p,
-                    "file": os.path.join("data", fname),
-                    "kind": kind,
-                    "rows": rows,
-                    "lsn_lo": lsn_lo,
-                    "lsn_hi": lsn_hi,
-                    "events_applied": applied,
-                    "bytes": os.path.getsize(path),
-                }
-            ]
-        )
-
-    # -- modes ---------------------------------------------------------------
-    def _apply_cow(self, p, group, winners, lsn_lo, lsn_hi) -> pa.Table:
-        live = winners.filter(pc.not_equal(winners["op"], "D"))
-        live_hash = live["doc_hash"].combine_chunks()
-        new_rows = conform(live, self.snapshot_schema).append_column("doc_hash", live_hash)
-
-        chain = self._read_chain_tables(p)
-        if len(chain) > 1:
-            base = merge_chain(chain, self.snapshot_schema, keep_hash=True)
-        elif chain:
-            # reuse the stored cluster hash when the file carries it
-            # (post-round-2 format); conform drops it, so lift it first
-            raw = chain[0]
-            h = (
-                raw["doc_hash"].combine_chunks()
-                if "doc_hash" in raw.schema.names
-                else pa.array(key_hash(raw["doc_id"]).view(np.int64))
-            )
-            base = conform(raw, self.snapshot_schema).append_column("doc_hash", h)
-        else:
-            base = None
-        if base is not None and len(base):
-            keep = pc.invert(
-                pc.is_in(base["doc_id"], value_set=winners["doc_id"].combine_chunks())
-            )
-            base_keep = base.filter(keep)
-            final = pa.concat_tables([base_keep, new_rows])
-        else:
-            final = new_rows
-        # Deterministic output order (exactly-once under task retry):
-        # (doc_hash, doc_id) — int-dominant sort, strings only on ties.
-        # The hash column STAYS in the file: hash-sorted row groups
-        # give tight min/max stats for point-read pushdown (compact.py
-        # lookup_keys_in_chain); snapshot readers conform() it away.
-        final = final.sort_by([("doc_hash", "ascending"), ("doc_id", "ascending")])
-        fname = part_file_name(p, self.epoch)
-        path = self._write(fname, final)
-        return self._lineage(p, fname, "base", len(final), lsn_lo, lsn_hi, None, path)
-
-    def _apply_delta(self, p, group, winners, lsn_lo, lsn_hi) -> pa.Table:
-        chain = self.parent_chain.get(p, [])
-        # delta payload: snapshot columns + (op, lsn) envelope, ordered
-        envelope = pa.schema(
-            [pa.field(n, winners.schema.field(n).type) for n in DELTA_ENVELOPE]
-        )
-        body = conform(winners, self.snapshot_schema)
-        for name in reversed(DELTA_ENVELOPE):
-            body = body.add_column(0, envelope.field(name), winners[name])
-        body = body.append_column("doc_hash", winners["doc_hash"].combine_chunks())
-        body = body.sort_by([("doc_hash", "ascending"), ("doc_id", "ascending")])
-
-        if len(chain) + 1 >= self.compact_chain_len:
-            # COMPACT: fold base + deltas + this epoch's winners into a
-            # fresh base (tombstones physically dropped here).
-            tables = self._read_chain_tables(p) + [body]
-            final = merge_chain(tables, self.snapshot_schema, keep_hash=True)
-            fname = part_file_name(p, self.epoch)
-            path = self._write(fname, final)
-            return self._lineage(p, fname, "base", len(final), lsn_lo, lsn_hi, None, path)
-        fname = delta_file_name(p, self.epoch)
-        path = self._write(fname, body)
-        return self._lineage(p, fname, "delta", len(body), lsn_lo, lsn_hi, None, path)
-
-    # -- entry ---------------------------------------------------------------
     def __call__(self, group: pa.Table) -> pa.Table:
         import time
 
@@ -180,22 +99,38 @@ class MergeApplier:
             return _lineage_table([])
         p = group["part"][0].as_py()
         winners = latest_per_key(group, key="doc_id", order_col="lsn", hash_col="doc_hash")
-        lsn_lo = pc.min(group["lsn"]).as_py()
-        lsn_hi = pc.max(group["lsn"]).as_py()
-        if self.mode == "delta":
-            out = self._apply_delta(p, group, winners, lsn_lo, lsn_hi)
+        # (doc_hash, doc_id) order: identical bytes under task retry,
+        # and hash-clustered row groups for point-read pushdown
+        body = _winners_body(winners, self.snapshot_schema).sort_by(
+            [("doc_hash", "ascending"), ("doc_id", "ascending")]
+        )
+        # the winners file is written on every epoch: it is the
+        # partition's delta, or — when the chain folds — the epoch's
+        # change feed beside the fresh base
+        delta = os.path.join("data", delta_file_name(p, self.epoch))
+        write_data_file(os.path.join(self.table_root, delta), body, self.compression)
+        row = {
+            "p": p,
+            "lsn_lo": pc.min(group["lsn"]).as_py(),
+            "lsn_hi": pc.max(group["lsn"]).as_py(),
+            "events_applied": len(group),
+        }
+        chain = self.parent_chain.get(p, [])
+        if len(chain) + 1 < self.fold_at:
+            row.update(file=delta, kind="delta", rows=len(body))
         else:
-            out = self._apply_cow(p, group, winners, lsn_lo, lsn_hi)
-        out = out.set_column(
-            out.schema.get_field_index("events_applied"),
-            "events_applied",
-            pa.array([len(group)], pa.int64()),
-        )
-        return out.set_column(
-            out.schema.get_field_index("apply_ms"),
-            "apply_ms",
-            pa.array([(time.perf_counter() - t0) * 1000.0], pa.float64()),
-        )
+            # FOLD: base + deltas + this epoch's winners into a fresh
+            # base (tombstones physically dropped here)
+            tables = [
+                pq.read_table(os.path.join(self.table_root, e["file"])) for e in chain
+            ]
+            final = merge_chain(tables + [body], self.snapshot_schema, keep_hash=True)
+            base = os.path.join("data", part_file_name(p, self.epoch))
+            write_data_file(os.path.join(self.table_root, base), final, self.compression)
+            row.update(file=base, kind="base", rows=len(final), feed_file=delta)
+        row["bytes"] = os.path.getsize(os.path.join(self.table_root, row["file"]))
+        row["apply_ms"] = (time.perf_counter() - t0) * 1000.0
+        return _lineage_table([row])
 
 
 class SplitApplier:
@@ -238,15 +173,6 @@ class SplitApplier:
         self.compression = compression
         os.makedirs(os.path.join(table_root, "data"), exist_ok=True)
 
-    def _write(self, fname: str, tbl: pa.Table) -> str:
-        path = os.path.join(self.table_root, "data", fname)
-        tmp = path + ".inprogress"
-        pq.write_table(
-            tbl, tmp, compression=self.compression, row_group_size=ROW_GROUP_SIZE
-        )
-        os.replace(tmp, path)
-        return path
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         import hashlib
         import time
@@ -260,14 +186,9 @@ class SplitApplier:
         )
         applied = dict(zip(raw_parts.tolist(), raw_counts.tolist()))
         winners = latest_per_key(batch, key="doc_id", order_col="lsn", hash_col="doc_hash")
-        envelope = pa.schema(
-            [pa.field(n, winners.schema.field(n).type) for n in DELTA_ENVELOPE]
+        body = _winners_body(winners, self.snapshot_schema).append_column(
+            "part", winners["part"].combine_chunks()
         )
-        body = conform(winners, self.snapshot_schema)
-        for name in reversed(DELTA_ENVELOPE):
-            body = body.add_column(0, envelope.field(name), winners[name])
-        body = body.append_column("doc_hash", winners["doc_hash"].combine_chunks())
-        body = body.append_column("part", winners["part"].combine_chunks())
         # one vectorized sort: cluster parts, deterministic row order
         body = body.sort_by(
             [("part", "ascending"), ("doc_hash", "ascending"), ("doc_id", "ascending")]
@@ -286,8 +207,8 @@ class SplitApplier:
             span = np.sort(lsns[s:e].copy())
             sid = hashlib.blake2b(span.tobytes(), digest_size=8).hexdigest()
             fname = f"delta-{p:05d}-e{self.epoch:06d}-s{sid}.parquet"
-            tbl = payload.slice(s, e - s)
-            path = self._write(fname, tbl)
+            path = os.path.join(self.table_root, "data", fname)
+            write_data_file(path, payload.slice(s, e - s), self.compression)
             rows.append(
                 {
                     "p": p,
@@ -321,6 +242,9 @@ LINEAGE_SCHEMA = pa.schema(
         # multi-row lineage (SplitApplier) only the first row carries
         # it — aggregate per-task, not per-file (metrics.py)
         ("apply_ms", pa.float64()),
+        # winners file beside a folded base (MergeApplier): the
+        # writing epoch's change feed for that partition; null on deltas
+        ("feed_file", pa.string()),
     ]
 )
 
@@ -331,4 +255,5 @@ def _lineage_table(rows: list[dict]) -> pa.Table:
     for r in rows:
         r.setdefault("events_applied", 0)
         r.setdefault("apply_ms", 0.0)
+        r.setdefault("feed_file", None)
     return pa.Table.from_pylist(rows, schema=LINEAGE_SCHEMA)

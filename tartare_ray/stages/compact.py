@@ -1,18 +1,19 @@
-"""LSM-style delta-chain merge + compaction (delta write mode).
+"""LSM-style delta-chain merge + compaction.
 
-In ``write_mode="delta"`` the applier writes only each epoch's
-winners (including op="D" tombstones) as a per-partition DELTA file
-instead of rewriting the whole partition — write amplification drops
-from O(table_size) to O(epoch_winners) per epoch.  A partition's
+Every epoch the applier writes each touched partition's winners
+(including op="D" tombstones) as a per-partition DELTA file — write
+amplification O(epoch_winners), not O(table_size).  A partition's
 state is then the ordered chain
 
     [base (optional), delta e_i, delta e_j, ...]   (i < j)
 
 and the merged view is "last writer wins per doc_id, tombstones
-drop" — evaluated vectorized here.  When a chain grows past
-``compact_chain_len`` the applier folds it back into a fresh base
-(compaction), which is also where tombstones are physically removed
-(north_star: "tombstone compaction").
+drop" — evaluated vectorized here.  When a chain reaches its fold
+threshold (every epoch in ``write_mode="cow"``, ``compact_chain_len``
+in ``"delta"``) the applier folds it back into a fresh base, which is
+also where tombstones are physically removed (north_star: "tombstone
+compaction"); the epoch's winners file then stays beside the base as
+its change feed.
 
 Reference analogue `[UNVERIFIED — empty checkout, SURVEY.md §0]`:
 tartare keeps every export as an immutable GridFS artifact and
@@ -38,6 +39,17 @@ DELTA_ENVELOPE = ("op", "lsn")
 # hash-sorted) prune point reads to a handful of row groups even on
 # multi-million-row partitions; 128Ki keeps footer metadata small.
 ROW_GROUP_SIZE = 128 * 1024
+
+
+def write_data_file(path: str, tbl: pa.Table, compression: str = "zstd") -> None:
+    """Write one data file under its final name via tmp + ``os.replace``
+    — a retried task overwrites it with identical bytes (exactly-once)
+    and no reader ever sees a partial file."""
+    import os
+
+    tmp = path + ".inprogress"
+    pq.write_table(tbl, tmp, compression=compression, row_group_size=ROW_GROUP_SIZE)
+    os.replace(tmp, path)
 
 
 def merge_chain(
@@ -320,11 +332,7 @@ class PartitionCompactor:
             merged = read_chain(self.table_root, chain, self.schema, keep_hash=True)
             fname = f"part-{p:05d}-e{self.epoch:06d}.parquet"
             path = os.path.join(self.table_root, "data", fname)
-            tmp = path + ".inprogress"
-            pq.write_table(
-                merged, tmp, compression=self.compression, row_group_size=ROW_GROUP_SIZE
-            )
-            os.replace(tmp, path)
+            write_data_file(path, merged, self.compression)
             rows.append(
                 {
                     "p": p,
@@ -375,11 +383,7 @@ class PartitionRewriter:
         body = conform(body, self.schema).append_column("doc_hash", hash_col)
         fname = f"part-{p:05d}-e{self.epoch:06d}.parquet"
         path = os.path.join(self.table_root, "data", fname)
-        tmp = path + ".inprogress"
-        pq.write_table(
-            body, tmp, compression=self.compression, row_group_size=ROW_GROUP_SIZE
-        )
-        os.replace(tmp, path)
+        write_data_file(path, body, self.compression)
         return pa.Table.from_pylist(
             [
                 {
@@ -433,11 +437,7 @@ class PartitionBackfiller:
                 )
             fname = f"part-{p:05d}-e{self.epoch:06d}.parquet"
             path = os.path.join(self.table_root, "data", fname)
-            tmp = path + ".inprogress"
-            pq.write_table(
-                merged, tmp, compression=self.compression, row_group_size=ROW_GROUP_SIZE
-            )
-            os.replace(tmp, path)
+            write_data_file(path, merged, self.compression)
             rows.append(
                 {
                     "p": p,

@@ -12,9 +12,10 @@ feed (the feed is latest-per-key winners + tombstones, so re-applying
 an epoch is harmless), which composes to exactly-once end-to-end.
 
 Registered consumers also pin GC (``gc_epochs``): epochs a consumer
-has not yet acked — and the acked epoch itself, whose manifest is the
-parent watermark the next epoch's feed re-derivation needs — cannot
-be deleted, mirroring the incremental-view retention floor.
+has not yet acked — each serving its feed from its own winners files —
+and the acked epoch itself, the snapshot the consumer resumes from
+(an index rebuilds its base there after a rollback), cannot be
+deleted, mirroring the incremental-view retention floor.
 Unregister (``drop_consumer``) to release the pin.
 
 Reference analogue `[UNVERIFIED — empty checkout, SURVEY.md §0]`:
@@ -130,8 +131,8 @@ def clamp_all(table_root: str, max_epoch: int) -> int:
 
 def consumer_retention_floor(table_root: str) -> int | None:
     """Oldest epoch any registered consumer still needs: its acked
-    epoch (the parent-watermark manifest for re-deriving the next
-    feed) and everything after it.  None when no consumers exist."""
+    epoch (the snapshot it resumes from) and everything after it.
+    None when no consumers exist."""
     cursors = list_consumers(table_root)
     if not cursors:
         return None

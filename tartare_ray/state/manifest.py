@@ -6,7 +6,10 @@ re-expressed as an Iceberg/Delta-style two-phase file commit):
 
 ```
 table_root/
-  data/part-{p:05d}-e{epoch:06d}.parquet   # copy-on-write partition files
+  data/part-{p:05d}-e{epoch:06d}.parquet   # partition base (a folded chain)
+  data/delta-{p:05d}-e{epoch:06d}[-s…].parquet  # an epoch's winners: a
+                                           # chain delta, or the feed of the
+                                           # base folded in that epoch
   _manifests/e{epoch:06d}.json             # full epoch manifest
   _manifests/CURRENT                       # committed epoch number (atomic swap)
   _metrics/e{epoch:06d}.json               # per-epoch throughput/skew metrics
@@ -51,6 +54,12 @@ class PartitionLineage:
     # metric, SURVEY.md §8.6).  0.0 on all but the first file of a
     # multi-file writer task and on pre-metric manifests.
     apply_ms: float = 0.0
+    # Winners file of a base folded in its writing epoch — that
+    # epoch's change feed for the partition (``changes_dataset``).
+    # None on deltas (the delta IS the feed), on bases written without
+    # new events (compaction, backfill, repartition) and on manifests
+    # older than the field.
+    feed_file: str | None = None
 
 
 @dataclass
@@ -65,10 +74,10 @@ class Manifest:
     # mapping readers must use (lookup, views).  0 on pre-field
     # manifests (readers then fall back to their configured value).
     num_partitions: int = 0
-    # Parent epoch's watermark, denormalized so the change feed of a
-    # retained epoch ((parent_watermark, watermark] re-derivation)
-    # survives GC of the parent manifest.  None on pre-field manifests
-    # (readers fall back to loading the parent).
+    # Parent epoch's watermark, denormalized so the LSN range an epoch
+    # applied, (parent_watermark, watermark], is known after GC of the
+    # parent manifest (``changes_between``).  None on pre-field
+    # manifests (readers fall back to loading the parent).
     parent_watermark_lsn: int | None = None
     # Log files this epoch consumed (paths as listed by the tail).
     # Lets the engine distinguish an already-applied file from a LATE
@@ -89,6 +98,18 @@ class Manifest:
 
     def partition_files(self) -> dict[int, PartitionLineage]:
         return {pl.p: pl for pl in self.partitions}
+
+    def referenced_files(self) -> set[str]:
+        """Every data file (relative to table_root) this epoch needs:
+        its chain files plus the feed files of the bases it folded.  A
+        base carried forward from an older epoch does not pin its feed
+        file — only its writing epoch serves that feed.  GC, rollback
+        and publish all decide liveness from this set."""
+        return {pl.file for pl in self.partitions} | {
+            pl.feed_file
+            for pl in self.partitions
+            if pl.feed_file is not None and pl.epoch == self.epoch
+        }
 
 
 def _manifest_path(table_root: str, epoch: int) -> str:
@@ -209,8 +230,8 @@ def _view_retention_floor(table_root: str) -> int | None:
 
 
 def gc_epochs(table_root: str, keep_last: int = 2) -> int:
-    """Copy-on-write GC: delete partition files referenced ONLY by
-    manifests older than the last ``keep_last`` epochs (time travel to
+    """Epoch GC: delete data files referenced (``referenced_files``) ONLY
+    by manifests older than the last ``keep_last`` epochs (time travel to
     those epochs is given up), plus the old manifests/metrics.  Never
     touches anything reachable from a retained manifest — or from any
     epoch a persisted incremental view still needs for retractions
@@ -265,8 +286,7 @@ def _gc_epochs_locked(table_root: str, keep_last: int) -> int:
                         keep.add(e)
     live: set[str] = set()
     for e in keep:
-        d = json.loads(st.read_text(f"_manifests/e{e:06d}.json"))
-        live.update(p["file"] for p in d["partitions"])
+        live |= load_epoch(table_root, e).referenced_files()
     removed = 0
     data = os.path.join(table_root, "data")
     if os.path.isdir(data):
@@ -347,17 +367,10 @@ def rollback_to(table_root: str, epoch: int) -> dict:
         live: set[str] = set()
         for e in epochs:
             if e <= epoch:
-                live.update(
-                    p["file"]
-                    for p in json.loads(st.read_text(f"_manifests/e{e:06d}.json"))["partitions"]
-                )
+                live |= load_epoch(table_root, e).referenced_files()
         files_removed = 0
         for e in drop:
-            refs = {
-                p["file"]
-                for p in json.loads(st.read_text(f"_manifests/e{e:06d}.json"))["partitions"]
-            }
-            for rel in refs - live:
+            for rel in load_epoch(table_root, e).referenced_files() - live:
                 path = os.path.join(table_root, rel)
                 if os.path.exists(path):
                     os.remove(path)
@@ -393,57 +406,26 @@ def rollback_to(table_root: str, epoch: int) -> dict:
 
 
 def gc_log(table_root: str, log_dir) -> int:
-    """WAL archival: delete change-log files fully below every retained
-    epoch's applied range — at 10^10 events the log is the largest
-    artifact on disk and, unlike snapshots, grows without bound.
-
-    A log file is needed only by (a) the tail, for events above the
-    committed watermark, and (b) ``changes_dataset`` re-derivation of
-    a retained epoch that cannot serve its feed delta-direct (cow
-    epochs, mixed inline-compaction epochs), which reads
-    (watermark(e-1), watermark(e)].  Per retained epoch the lower
-    bound of that need is its lineage's lowest applied ``lsn_lo``
-    (rows below it inside the range are quarantine rejects the feed's
-    validity mask drops anyway); all-delta epochs and event-free
-    epochs (compaction / repartition / backfill commits) need no log
-    at all — mirroring ``changes_dataset``'s own branch exactly.
-    Every file whose footer ``max_lsn`` sits under the minimum such
-    floor is dead.  Run ``gc_epochs`` first — retention floors
-    (views, consumers, keep_last) act on THIS function through the
-    retained-manifest set.  Holds the writer lock: an in-flight epoch
-    plans from a log listing that a concurrent unlink would
-    invalidate.  Returns files removed."""
-    from ..sources.tail import list_log_files
+    """WAL archival: delete every change-log file whose LSNs all sit at
+    or below the committed watermark — at 10^10 events the log is the
+    largest artifact on disk and, unlike snapshots, grows without
+    bound.  Only the tail reads the log (for events above the
+    watermark); every retained epoch serves its change feed from its
+    own winners files.  Archiving gives up re-applying those events:
+    ``rollback_to`` followed by ``replay()`` can only re-apply events
+    whose log files remain, so roll back before archiving.  Holds the
+    writer lock: an in-flight epoch plans from a log listing that a
+    concurrent unlink would invalidate.  Returns files removed."""
+    from ..sources.tail import list_log_files, remove_log_file
     from .lock import WriterLock
 
     with WriterLock(table_root):
-        epochs = list_committed_epochs(table_root)
         cur = load_current(table_root)
-        if not epochs or cur is None:
+        if cur is None:
             return 0
-        floors = []
-        for e in epochs:
-            m = load_epoch(table_root, e)
-            touched = [pl for pl in m.partitions if pl.epoch == e]
-            if not touched and m.partitions:
-                # pre-epoch-field manifest (lineage epoch defaults to
-                # 0): can't tell what this epoch wrote — keep its whole
-                # referenced range (conservative, never deletes needed log)
-                floors.append(min(pl.lsn_lo for pl in m.partitions))
-                continue
-            if touched and all(pl.kind == "delta" for pl in touched):
-                continue  # feed served delta-direct
-            applied = [pl.lsn_lo for pl in touched if pl.events_applied]
-            if applied:
-                floors.append(min(applied))
-            # event-free commit: empty feed range, no log need
-        # the tail only ever needs files above the committed watermark
-        floor = min(floors, default=cur.watermark_lsn + 1)
         removed = 0
-        from ..sources.tail import remove_log_file
-
         for f in list_log_files(log_dir):
-            if f.max_lsn < floor:
+            if f.max_lsn <= cur.watermark_lsn:
                 remove_log_file(f.path)
                 removed += 1
         return removed

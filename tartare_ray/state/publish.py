@@ -6,9 +6,10 @@ Reference analogue `[UNVERIFIED — empty checkout, SURVEY.md §0]`:
 export to each Environment in fixed order integration → preproduction
 → production, `tartare/tasks.py::coverage_export`).  Here a "publish"
 is an atomic promotion of the committed snapshot into a destination
-table root: hard-link (or copy) the CURRENT manifest's partition
-files, write the manifest, then atomically swap the destination
-CURRENT — readers of the destination never observe a partial publish.
+table root: hard-link (or copy) every data file the CURRENT manifest
+references (its chains and its epoch's feed files), write the
+manifest, then atomically swap the destination CURRENT — readers of
+the destination never observe a partial publish.
 Environment ordering is preserved: a failure at one environment stops
 the chain (tartare's Job-failed semantics).
 """
@@ -48,9 +49,9 @@ def publish_snapshot(table_root: str, dest_root: str) -> Manifest:
             return cur  # already published
         os.makedirs(os.path.join(dest_root, "data"), exist_ok=True)
         os.makedirs(os.path.join(dest_root, "_manifests"), exist_ok=True)
-        for pl in m.partitions:
-            src = os.path.join(table_root, pl.file)
-            dst = os.path.join(dest_root, pl.file)
+        for rel in sorted(m.referenced_files()):
+            src = os.path.join(table_root, rel)
+            dst = os.path.join(dest_root, rel)
             # Skip only when dst IS src (same inode — a prior hard-link
             # publish).  A mere name+size match is not proof of identity:
             # publishing a rebuilt table over an old destination must

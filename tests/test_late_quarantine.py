@@ -203,7 +203,8 @@ def test_n_tok_miscount_mode_semantics_are_pinned(ray_session, tmp_path):
     valid, normal mode applies the older event while late-
     materialization mode holds the previous state (phase 1 is
     envelope-only and cannot see tokens).  Neither applies the
-    malformed value; both quarantine it."""
+    malformed value; both quarantine it.  In every mode the epoch's
+    change feed is exactly what it applied."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -229,14 +230,24 @@ def test_n_tok_miscount_mode_semantics_are_pinned(ray_session, tmp_path):
         eng.replay()
         return eng
 
-    normal = build("normal")
-    assert _state(normal) == {"a": 2}  # older valid event wins
-    assert normal._quarantine_count(1) == 1
+    def feed(eng):
+        rows = []
+        for b in eng.changes_dataset(1).iter_batches(batch_format="pyarrow"):
+            rows += b.select(["op", "lsn", "doc_id", "tokens", "n_tok"]).to_pylist()
+        return rows
+
+    applied_lsn1 = [{"op": "I", "lsn": 1, "doc_id": "a", "tokens": [1, 2], "n_tok": 2}]
+    for tag in ("cow", "delta"):
+        normal = build(tag, write_mode=tag)
+        assert _state(normal) == {"a": 2}  # older valid event wins
+        assert normal._quarantine_count(1) == 1
+        assert feed(normal) == applied_lsn1, tag
     late = build(
         "late", write_mode="delta", exchange="hash", late_materialization=True
     )
     assert late.snapshot_dataset(columns=["doc_id"]).count() == 0  # holds prior (none)
     assert late._quarantine_count(1) == 1
+    assert feed(late) == []
 
 
 def test_torn_late_jsonl_line_does_not_wedge_replay(ray_session, tmp_path):

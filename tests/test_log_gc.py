@@ -1,5 +1,7 @@
-"""gc_log (WAL archival): fully-applied log files are trimmed once no
-retained epoch can need their LSN range, and never before."""
+"""gc_log (WAL archival): every log file at or below the committed
+watermark is trimmed, and never one above it.  Every retained epoch
+serves its change feed from its own winners files, so the feeds
+survive the trim."""
 
 from __future__ import annotations
 
@@ -8,6 +10,15 @@ import os
 from tartare_ray.gen import GenConfig, generate_log
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
 from tartare_ray.state.manifest import gc_epochs, gc_log, list_committed_epochs
+
+
+def _feed(eng, epoch: int) -> list[dict]:
+    import pyarrow as pa
+
+    tbl = pa.concat_tables(
+        eng.changes_dataset(epoch).iter_batches(batch_format="pyarrow", batch_size=None)
+    )
+    return sorted(tbl.to_pylist(), key=lambda r: r["doc_id"])
 
 
 def _log_files(log_dir: str) -> list[str]:
@@ -29,13 +40,19 @@ def _make(tmp_path, mode: str):
     return res, log, eng
 
 
-def test_log_gc_no_op_while_epochs_retained(ray_session, tmp_path):
-    """cow epochs re-derive their feed from the log: while every epoch
-    is retained, nothing below epoch 1's range may go."""
+def test_log_gc_cow_epochs_free_the_whole_log(ray_session, tmp_path):
+    """cow epochs keep their winners files, so with every epoch
+    retained the whole applied log goes and each epoch's feed reads
+    back unchanged from the stored files."""
     _, log, eng = _make(tmp_path, "cow")
-    before = _log_files(log)
-    assert gc_log(eng.table_root, log) == 0
-    assert _log_files(log) == before
+    epochs = list_committed_epochs(eng.table_root)
+    assert len(epochs) == 3
+    feeds = {e: _feed(eng, e) for e in epochs}
+    assert all(feeds.values())
+    assert gc_log(eng.table_root, log) == 3
+    assert _log_files(log) == []
+    assert {e: _feed(eng, e) for e in epochs} == feeds
+    assert eng.replay().epoch == epochs[-1]
 
 
 def test_log_gc_trims_below_oldest_cow_epoch(ray_session, tmp_path):
@@ -57,17 +74,22 @@ def test_log_gc_trims_below_oldest_cow_epoch(ray_session, tmp_path):
     )
     eng.replay()
     snap_before = eng.snapshot_table().sort_by("doc_id")
+    head_feed = _feed(eng, 3)
     gc_epochs(eng.table_root, keep_last=1)
     head = list_committed_epochs(eng.table_root)
-    assert len(head) == 1
+    assert head == [3]
+    # the dropped epochs' winners files went with them; the head's stay
+    data = os.listdir(os.path.join(eng.table_root, "data"))
+    assert not any(n.startswith("delta-") and "-e000003" not in n for n in data)
+    assert any(n.startswith("delta-") and "-e000003" in n for n in data)
+    # every log file is at or below the watermark
     removed = gc_log(eng.table_root, log)
-    # head epoch applied only the 3rd file's range
-    assert removed == 2
+    assert removed == 3
     # committed state is untouched and replay stays a no-op
     assert eng.snapshot_table().sort_by("doc_id").to_pylist() == snap_before.to_pylist()
     assert eng.replay().epoch == head[0]
-    # the head epoch's change feed still re-derives from the kept file
-    assert eng.changes_dataset(head[0]).count() > 0
+    # the head epoch's change feed is served from its winners files
+    assert head_feed and _feed(eng, head[0]) == head_feed
     # the tail keeps working: new events extend the trimmed log
     shutil.copy(res.files[3], log)
     m = eng.replay()
@@ -89,14 +111,42 @@ def test_log_gc_delta_epochs_free_the_whole_log(ray_session, tmp_path):
 
 
 def test_log_gc_respects_consumer_pin_on_cow(ray_session, tmp_path):
-    """A lagging consumer pins old cow epochs via gc_epochs, and the
-    retained manifests in turn pin the log."""
+    """A lagging consumer pins old cow epochs via gc_epochs; the pinned
+    epochs' feeds need no log, so the consumer drains them all after
+    the log is trimmed."""
     _, log, eng = _make(tmp_path, "cow")
+    epochs = list_committed_epochs(eng.table_root)
+    feeds = {e: _feed(eng, e) for e in epochs}
     eng.subscribe("laggard")
     gc_epochs(eng.table_root, keep_last=1)  # consumer floor keeps all
-    assert gc_log(eng.table_root, log) == 0
-    # consumer catches up -> epochs collapse -> log trims
-    for e, _feed in eng.consume("laggard"):
+    assert list_committed_epochs(eng.table_root) == epochs
+    assert gc_log(eng.table_root, log) == 3
+    # consumer catches up from stored feeds -> epochs collapse
+    drained = {}
+    for e, _ds in eng.consume("laggard"):
+        drained[e] = _feed(eng, e)
         eng.ack_changes("laggard", e)
+    assert drained == feeds and all(drained.values())
     gc_epochs(eng.table_root, keep_last=1)
-    assert gc_log(eng.table_root, log) == 2
+    assert list_committed_epochs(eng.table_root) == [epochs[-1]]
+
+
+def test_cow_feed_of_pre_feed_file_manifest_raises(ray_session, tmp_path):
+    """A cow epoch whose manifest predates stored feed files cannot
+    serve its feed: changes_dataset names the epoch instead of
+    answering with an empty (or log-derived) feed."""
+    import json
+
+    import pytest
+
+    _, _log, eng = _make(tmp_path, "cow")
+    path = os.path.join(eng.table_root, "_manifests", "e000002.json")
+    with open(path) as f:
+        d = json.load(f)
+    for pl in d["partitions"]:
+        del pl["feed_file"]
+    with open(path, "w") as f:
+        json.dump(d, f)
+    with pytest.raises(LookupError, match="epoch 2 "):
+        eng.changes_dataset(2)
+    assert len(_feed(eng, 3)) > 0  # other epochs are unaffected

@@ -421,3 +421,22 @@ def test_size_parts_caps_concurrent_join_aggregator_demand(ray_session):
     # two concurrent joins: combined static demand == the one-join cap
     assert 2 * two <= cap + 1
     assert two == max(2, cap // 2)
+
+
+def test_curation_pipeline_keeps_no_document(ray_session, tmp_path):
+    """The gen corpus has no stop words, so curation_pipeline's quality
+    filter keeps no document: the answer is the empty sample in the
+    oracle's schema, not an ArrowInvalid from the dedup join."""
+    from tartare_ray.gen import generate_documents
+    from tartare_ray.pipelines.queries import ORACLE_SQL, QUERIES
+
+    generate_documents(str(tmp_path), 200, docs_per_file=100, seed=7)
+    ds = QUERIES["curation_pipeline"](str(tmp_path))
+    con = duckdb.connect()
+    con.sql(
+        f"CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{tmp_path}/documents.parquet/*.parquet')"
+    )
+    want = con.sql(ORACLE_SQL["curation_pipeline"]).df()
+    assert len(want) == 0 and ds.count() == 0
+    assert sorted(ds.schema().names) == sorted(want.columns)

@@ -38,12 +38,15 @@ def test_rollback_then_replay_reconverges(ray_session, tmp_path, mode):
     res, eng = _make(tmp_path, mode)
     assert list_committed_epochs(eng.table_root) == [1, 2, 3]
     want_e1 = eng.snapshot_table(epoch=1)
+    # both modes keep each epoch's winners files (cow: the feed files)
+    data = os.listdir(os.path.join(eng.table_root, "data"))
+    assert any(f.startswith("delta-") and "-e000003" in f for f in data)
 
     m = eng.rollback(1)
     assert m.epoch == 1
     assert list_committed_epochs(eng.table_root) == [1]
     _assert_eq(eng.snapshot_table(), want_e1)
-    # dropped epochs' exclusive data files are gone from disk
+    # dropped epochs' exclusive data and winners files are gone from disk
     data = os.listdir(os.path.join(eng.table_root, "data"))
     assert not any("-e000002" in f or "-e000003" in f for f in data)
 

@@ -1,6 +1,6 @@
 """Round-2 hardening: GC × incremental-view retention, batch-invariant
-row-filter ingest steps, quarantine rules on the re-derived change
-feed, and content-honest publish."""
+row-filter ingest steps, quarantine rules on the cow change feed,
+and content-honest publish."""
 
 from __future__ import annotations
 
@@ -157,7 +157,7 @@ def test_row_filter_batch_invariant(ray_session, tmp_path, drop_big_step, batch_
     assert len(state) == 31  # d1 + 30 fillers
 
 
-# --- re-derived change feed honors quarantine rules ------------------------
+# --- the cow change feed honors quarantine rules ---------------------------
 
 
 def test_changes_dataset_rederivation_excludes_quarantined(ray_session, tmp_path):
@@ -177,7 +177,7 @@ def test_changes_dataset_rederivation_excludes_quarantined(ray_session, tmp_path
     )
     _mk_log(str(tmp_path / "log"), [pa.concat_tables([t, bad])])
     root = str(tmp_path / "table")
-    # cow mode -> changes_dataset re-derives the feed from the log
+    # cow mode -> the feed is the winners file beside the folded base
     eng = CdcEngine(str(tmp_path / "log"), root, EngineConfig(num_partitions=2, write_mode="cow"))
     m = eng.run_epoch()
     feed = pa.concat_tables(
@@ -277,8 +277,8 @@ def test_poison_straddler_does_not_skip_events(ray_session, tmp_path):
 
 
 def test_cow_feed_applies_ingest_transforms(ray_session, tmp_path):
-    """changes_dataset's cow re-derivation must reproduce configured
-    ingest transforms, or the feed diverges from the committed table."""
+    """A cow epoch's feed must carry the configured ingest transforms,
+    or the feed diverges from the committed table."""
     import pyarrow.compute as pc
 
     from tartare_ray.gen import GenConfig, generate_log
@@ -293,7 +293,7 @@ def test_cow_feed_applies_ingest_transforms(ray_session, tmp_path):
         EngineConfig(
             num_partitions=2,
             ingest_steps=(("truncate_tokens", {"max_len": 8}),),
-        ),  # cow mode: the feed re-derives from the raw log
+        ),  # cow mode: the feed is served from the winners files
     )
     m = eng.replay()
     import pyarrow as pa

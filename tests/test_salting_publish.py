@@ -100,8 +100,14 @@ def test_publish_atomic_and_idempotent(hot_log, ray_session, tmp_path):
     for e in envs:
         pm = load_current(e)
         assert pm is not None and pm.epoch == m.epoch
-        for pl in pm.partitions:
-            assert os.path.exists(os.path.join(e, pl.file))
+        # chain files and the head epoch's feed files (cow folds)
+        assert any(pl.feed_file for pl in pm.partitions)
+        for rel in pm.referenced_files():
+            assert os.path.exists(os.path.join(e, rel))
+    # the published head epoch serves its change feed
+    feed_n = eng.changes_dataset(m.epoch).count()
+    assert feed_n > 0
+    assert CdcEngine(log_dir, envs[-1]).changes_dataset(m.epoch).count() == feed_n
     # idempotent re-publish
     again = publish_snapshot(root, envs[0])
     assert again.epoch == m.epoch
