@@ -11,12 +11,11 @@ Prints ONE JSON line:
 - --scaling: the sandbox stand-in for the N vs 4N cluster-size
   criterion (BASELINE.json metric).  Runs the SAME CDC replay in
   fresh processes at several num_cpus levels on the same input:
-  the CPU-bound criterion config (sort exchange, 48M events) at
-  8 and 32 CPUs reporting efficiency = (tput32 / tput8) / 4, plus
-  the flagship hash-exchange config at 8/16/32 CPUs whose 8->16
-  curve is the clean reading (its 32-CPU point saturates a
-  single-box exchange-bandwidth ceiling both proxy levels share —
-  analysis in BASELINE.md).
+  the criterion config (single-pass epochs, 48M events) at 8 and 32
+  CPUs reporting efficiency = (tput32 / tput8) / 4, plus the flagship
+  config (late materialization) at 8/16/32 CPUs.  Epochs have no
+  exchange: each block writes its own winners and one task per
+  partition merges them (tartare_ray/stages/apply.py).
 
 Owns its Ray session (the ONLY scripts that may: bench.py, CLI, test
 fixture).
@@ -116,7 +115,7 @@ def _warm_cache() -> None:
                     pass
 
 
-def run_cdc(num_cpus: int, exchange: str = "hash") -> dict:
+def run_cdc(num_cpus: int, late_materialization: bool = True) -> dict:
     """Generate (idempotent) + replay the synthetic log; returns
     throughput + skew metrics.  Assumes ray.init already done."""
     from tartare_ray.gen import GenConfig, generate_log
@@ -140,18 +139,14 @@ def run_cdc(num_cpus: int, exchange: str = "hash") -> dict:
         # delta (LSM) write mode is the flagship at-scale path: per-epoch
         # write amplification is O(epoch winners), not O(table) — 1.09M
         # vs 0.63M ev/s on a 100M-event 5-epoch replay (BASELINE.md).
-        # hash exchange + late materialization (round 2): the winner
-        # envelope prunes the shuffle to winners only and the hash
-        # exchange moves them sort-free — 1.92M vs 1.38M ev/s best-of
-        # at 24M events (BASELINE.md A/B).  exchange="sort" (the
-        # engine default) is the CPU-bound config the scaling
-        # criterion is evidenced on (see --scaling / BASELINE.md).
+        # Late materialization: the winner envelope prunes the
+        # split writers' input to winners only; the scaling criterion
+        # runs without it (see --scaling).
         EngineConfig(
             num_partitions=64,
             write_mode="delta",
             compact_chain_len=8,
-            exchange=exchange,
-            late_materialization=(exchange == "hash"),
+            late_materialization=late_materialization,
         ),
     )
     m = eng.replay()
@@ -212,7 +207,7 @@ def run_queries(sf_dir: str) -> dict[str, float]:
     return out
 
 
-def child_scaling(num_cpus: int, exchange: str) -> dict:
+def child_scaling(num_cpus: int, variant: str) -> dict:
     """Run the CDC replay alone in THIS process (invoked as a fresh
     subprocess per parallelism level)."""
     import ray
@@ -222,7 +217,7 @@ def child_scaling(num_cpus: int, exchange: str) -> dict:
     )
     _quiet()
     stat0 = _cpu_stat()
-    out = run_cdc(num_cpus, exchange=exchange)
+    out = run_cdc(num_cpus, late_materialization=(variant == "late"))
     out["ambient"] = _ambient(stat0, _cpu_stat())
     ray.shutdown()
     return out
@@ -234,14 +229,14 @@ def _quiet():
     DataContext.get_current().enable_progress_bars = False
 
 
-def _run_scaling_child(cpus: int, exchange: str, n_events: int, best_of: int) -> dict:
+def _run_scaling_child(cpus: int, variant: str, n_events: int, best_of: int) -> dict:
     child_env = dict(os.environ, GRAFT_BENCH_EVENTS=str(n_events))
     best = None
     for _ in range(best_of):  # best-of-N: ambient disk writeback noise
         p = subprocess.run(
             [
                 sys.executable, os.path.abspath(__file__),
-                "--scaling-child", str(cpus), exchange,
+                "--scaling-child", str(cpus), variant,
             ],
             capture_output=True, text=True, timeout=3600, env=child_env,
             cwd=os.path.dirname(os.path.abspath(__file__)),
@@ -249,7 +244,7 @@ def _run_scaling_child(cpus: int, exchange: str, n_events: int, best_of: int) ->
         line = [l for l in p.stdout.splitlines() if l.startswith("CHILD ")]
         if not line:
             sys.stderr.write(p.stdout[-2000:] + p.stderr[-2000:])
-            raise RuntimeError(f"scaling child ({cpus} cpus, {exchange}) failed")
+            raise RuntimeError(f"scaling child ({cpus} cpus, {variant}) failed")
         r = json.loads(line[-1][6:])
         if best is None or r["events_per_sec"] > best["events_per_sec"]:
             best = r
@@ -260,30 +255,25 @@ def main():
     if "--scaling-child" in sys.argv:
         i = sys.argv.index("--scaling-child")
         cpus = int(sys.argv[i + 1])
-        exchange = sys.argv[i + 2] if len(sys.argv) > i + 2 else "hash"
-        print("CHILD " + json.dumps(child_scaling(cpus, exchange)))
+        variant = sys.argv[i + 2] if len(sys.argv) > i + 2 else "late"
+        print("CHILD " + json.dumps(child_scaling(cpus, variant)))
         return
 
     if "--scaling" in sys.argv:
-        # Two measurements (rationale + full data in BASELINE.md):
-        #  1. CRITERION — default sort-exchange config at 48M events,
-        #     CPU-bound at both levels (24M makes the 32-CPU run short
-        #     enough that fixed-cost luck swings it ±30%; 96M pushes
-        #     the 8-CPU run into sort spill), so (tput32/tput8)/4 is a
-        #     clean proxy for the N -> 4N cluster-size rule.
-        #  2. FLAGSHIP — hash+late-mat at SCALING_EVENTS with an extra
-        #     16-CPU point: it scales ~1.0 from 8 -> 16 CPUs, then hits
-        #     a SINGLE-BOX exchange-bandwidth ceiling (~2.3M ev/s) that
-        #     both "cluster sizes" share in this sandbox — the one
-        #     resource a real 4N-node cluster multiplies and one node
-        #     cannot (object store / memory bus under the exchange).
+        # Two measurements (rationale + earlier data in BASELINE.md):
+        #  1. CRITERION — single-pass epochs at 48M events (24M makes
+        #     the 32-CPU run short enough that fixed-cost luck swings
+        #     it ±30%), so (tput32/tput8)/4 is a proxy for the N -> 4N
+        #     cluster-size rule.
+        #  2. FLAGSHIP — late materialization at SCALING_EVENTS with an
+        #     extra 16-CPU point.
         from tartare_ray.gen import GenConfig, generate_log
 
         global N_EVENTS, N_DOCS
         runs = {}
-        for name, exchange, n_events, cpu_levels, best_of in (
-            ("criterion_sort", "sort", 48_000_000, (8, 32), 2),
-            ("flagship_hash", "hash", SCALING_EVENTS, (8, 16, 32), 1),
+        for name, variant, n_events, cpu_levels, best_of in (
+            ("criterion", "plain", 48_000_000, (8, 32), 2),
+            ("flagship", "late", SCALING_EVENTS, (8, 16, 32), 1),
         ):
             N_EVENTS = n_events
             N_DOCS = max(1000, N_EVENTS // 10)
@@ -295,10 +285,10 @@ def main():
                 ),
             )
             runs[name] = {
-                cpus: _run_scaling_child(cpus, exchange, n_events, best_of)
+                cpus: _run_scaling_child(cpus, variant, n_events, best_of)
                 for cpus in cpu_levels
             }
-        crit, flag = runs["criterion_sort"], runs["flagship_hash"]
+        crit, flag = runs["criterion"], runs["flagship"]
         c8, c32 = crit[8]["events_per_sec"], crit[32]["events_per_sec"]
         f8, f16, f32 = (flag[c]["events_per_sec"] for c in (8, 16, 32))
         print(json.dumps({
@@ -309,20 +299,17 @@ def main():
             "num_cpus": 32,
             "queries": {},
             "scaling": {
-                "config": "sort exchange, delta mode, 48M events (CPU-bound at both levels)",
+                "config": "delta mode, single-pass epochs, 48M events",
                 "events_per_sec_8cpu": c8,
                 "events_per_sec_32cpu": c32,
                 "efficiency_8_to_32": round((c32 / c8) / 4, 3),
                 "flagship": {
-                    "config": f"hash exchange + late materialization, {SCALING_EVENTS} events",
+                    "config": f"delta mode + late materialization, {SCALING_EVENTS} events",
                     "events_per_sec_8cpu": f8,
                     "events_per_sec_16cpu": f16,
                     "events_per_sec_32cpu": f32,
                     "efficiency_8_to_16": round((f16 / f8) / 2, 3),
                     "efficiency_8_to_32": round((f32 / f8) / 4, 3),
-                    "note": "scales ~1.0 to 16 CPUs, then saturates the single-box "
-                            "exchange bandwidth shared by every level of this proxy "
-                            "(BASELINE.md: no-shuffle probe + phase breakdown)",
                 },
             },
             "detail": runs,

@@ -6,7 +6,6 @@ job submit on a fixed-size multi-node Ray cluster").
     python -m tartare_ray gen    --log-dir L --n-events 1000000
     python -m tartare_ray publish --table-root T --dest D1 --dest D2
     python -m tartare_ray gc     --table-root T --keep-last 2
-    python -m tartare_ray detect-hot-keys --log-dir L [--num-partitions 64]
 
 Owns the Ray session (guarded: under ``ray job submit`` the cluster
 session already exists and ``ray.init`` just attaches).  Library
@@ -44,11 +43,9 @@ def _engine(args):
         args.table_root,
         EngineConfig(
             num_partitions=args.num_partitions,
-            hot_key_salts=args.salts,
             epoch_max_events=args.epoch_max_events,
             ingest_steps=tuple(steps),
             write_mode=args.write_mode,
-            exchange=args.exchange,
             late_materialization=args.late_materialization,
         ),
     )
@@ -65,7 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         sp.add_argument("--table-root", required=True)
         sp.add_argument("--num-partitions", type=int, default=64)
-        sp.add_argument("--salts", type=int, default=None)
         sp.add_argument("--epoch-max-events", type=int, default=None)
         sp.add_argument(
             "--ingest-step", action="append", default=None,
@@ -77,11 +73,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         sp.add_argument(
             "--exchange", choices=["sort", "hash"], default="sort",
-            help="hash = sort-free split-tolerant exchange (delta mode only; flagship bench config)",
+            help="accepted and ignored: every epoch takes the one exchange-free path",
         )
         sp.add_argument(
             "--late-materialization", action="store_true",
-            help="winner-LSN envelope pass prunes the shuffle to winners only",
+            help="winner-LSN envelope pass prunes the write to winners only",
         )
 
     sp = sub.add_parser("replay", help="apply the whole pending log, epoch by epoch")
@@ -146,10 +142,6 @@ def main(argv: list[str] | None = None) -> int:
 
     sp = sub.add_parser("compact", help="fold delta chains into fresh bases (no new events)")
     add_engine_args(sp)
-
-    sp = sub.add_parser("detect-hot-keys", help="sample the log, recommend a salt count")
-    sp.add_argument("--log-dir", required=True)
-    sp.add_argument("--num-partitions", type=int, default=64)
 
     sp = sub.add_parser(
         "export",
@@ -236,7 +228,10 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("--root", required=True, help="multi-table work root (demux/ tables/ _global/)")
     sp.add_argument("--num-partitions", type=int, default=64)
     sp.add_argument("--write-mode", choices=["cow", "delta"], default="cow")
-    sp.add_argument("--exchange", choices=["sort", "hash"], default="sort")
+    sp.add_argument(
+        "--exchange", choices=["sort", "hash"], default="sort",
+        help="accepted and ignored: every epoch takes the one exchange-free path",
+    )
 
     sp = sub.add_parser(
         "normalize-log",
@@ -346,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
                 for cid, e in cons.items()
             }
         # latest epoch's straggler + phase walls (operability signal:
-        # a rising apply_straggler ratio says salt/repartition)
+        # a rising apply_straggler ratio says repartition)
         metrics_path = os.path.join(
             args.table_root, "_metrics", f"e{m.epoch:06d}.json"
         )
@@ -427,7 +422,6 @@ def main(argv: list[str] | None = None) -> int:
             EngineConfig(
                 num_partitions=args.num_partitions,
                 write_mode=args.write_mode,
-                exchange=args.exchange,
             ),
         )
         g = mt.replay()
@@ -535,14 +529,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.drop:
             cons.drop_consumer(args.table_root, args.drop)
         print(json.dumps({"consumers": cons.list_consumers(args.table_root)}))
-        return 0
-
-    if args.cmd == "detect-hot-keys":
-        from .sources.sample import detect_hot_keys
-        from .sources.tail import list_log_files
-
-        rep = detect_hot_keys(list_log_files(args.log_dir), args.num_partitions)
-        print(json.dumps(rep.__dict__))
         return 0
 
     _init_ray()

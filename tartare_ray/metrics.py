@@ -19,8 +19,8 @@ def epoch_metrics(
 ) -> dict:
     # this epoch's entries only (delta mode: a partition has a chain of
     # entries; the ones written this epoch carry this epoch's counts —
-    # split-exchange epochs may write SEVERAL files per partition, so
-    # counts are summed per p)
+    # epochs written by the earlier hash exchange hold SEVERAL files per
+    # partition, so counts are summed per p)
     this_epoch = [pl for pl in m.partitions if pl.epoch == m.epoch]
     if not this_epoch:  # pre-chain manifests (epoch field defaulted to 0)
         this_epoch = list(m.partitions)
@@ -30,11 +30,11 @@ def epoch_metrics(
     applied = [by_p[p] for p in touched if p in by_p]
     total = sum(applied)
     mean = total / len(applied) if applied else 0.0
-    # Straggler metric (SURVEY.md §8.6): per-WRITER-TASK apply wall.
-    # apply_ms is recorded once per writer task (first lineage row of
-    # a multi-file SplitApplier task, the single row otherwise), so
-    # the nonzero values ARE the task walls — max/mean quantifies how
-    # long the epoch's barrier waits on its slowest writer.
+    # Straggler metric (SURVEY.md §8.6): per-partition fold-task wall.
+    # apply_ms is the wall of the task that merged the partition's
+    # split files and wrote its winners file (and base, when it
+    # folded) — one lineage row each — so max/mean quantifies how long
+    # the commit barrier waits on the slowest partition.
     task_walls = sorted(pl.apply_ms for pl in this_epoch if pl.apply_ms > 0)
     straggler = (
         {
@@ -59,8 +59,8 @@ def epoch_metrics(
         "events_per_sec": round(total / wall_s, 1) if wall_s > 0 else None,
         "skew_max_over_mean": round(max(applied) / mean, 3) if applied and mean else None,
         "straggler": straggler,
-        # per-phase wall breakdown (plan / envelope / exchange+apply /
-        # commit) — where an epoch's non-overlapped time actually goes
+        # per-phase wall breakdown (plan / envelope / split write /
+        # fold / commit) — where an epoch's non-overlapped time goes
         "phases": phases or None,
         "per_partition_events": {str(p): by_p[p] for p in touched if p in by_p},
     }

@@ -1,5 +1,8 @@
 """The CDC engine driver loop (SURVEY.md §3.2): tail → validate/unify
-→ pre-reduce/partition → merge-apply → two-phase manifest commit.
+→ per-block pre-reduce and split write → per-partition fold → two-phase
+manifest commit.  No epoch moves rows between tasks: each block writes
+its own winners and one task per partition merges them
+(``stages/apply.py``).
 
 Replaces the reference's Celery-chain export lifecycle
 (`tartare/tasks.py::automatic_update` → contributor_export →
@@ -72,114 +75,59 @@ class EngineConfig:
     # P ≈ table_bytes / 512 MB, epoch_max_events ≈ P × a few M rows.
     epoch_max_files: int | None = None
     epoch_max_events: int | None = None
-    # Footer-bytes epoch bound. None -> auto: store/20 of FOOTER bytes.
+    # Footer-bytes epoch bound. None -> auto: store/5 of FOOTER bytes.
     # Footer total_byte_size is the ENCODED (dict/RLE, pre-compression)
     # size — measured ~3.5× smaller than the decoded in-memory Arrow
-    # for this token-heavy schema — so store/20 of footer bytes ≈
-    # store/6 resident, which keeps the epoch's sort in memory
-    # (measured: ~7 GB resident epochs sustain 1.6-1.7M ev/s on 32
-    # CPUs; 15 GB+ epochs spill the sort and fall to ~0.4M).
+    # for this token-heavy schema.  No task holds more than one block
+    # (the write path has no exchange), so the bound only caps how much
+    # the epoch's blocks hold in the object store at once and how much
+    # work one commit barrier waits on.
     epoch_max_bytes: int | None = None
     drop_columns: tuple[str, ...] = ()
-    # Explicit hot-key salting (north_star: "explicit salted-key
-    # repartitioning for hot doc_id skew").  When set to S > 1, events
-    # are first reduced per (part, salt = lsn % S) group — a hot
-    # doc_id's events spread over S groups, each emitting one partial
-    # winner — and the applier then runs the same associative
-    # latest-LSN reduce over the ≤S partials per key.  Valid because
-    # argmax(lsn) is associative and deletes survive partials as rows.
-    # Use ``sources.sample.detect_hot_keys`` to decide when to enable.
-    hot_key_salts: int | None = None
-    # Auto-detect: when hot_key_salts is None, sample each epoch's files
-    # (sources/sample.py) and enable the salted pre-reduce only if a key
-    # exceeds its fair share — skew handling that costs nothing on
-    # uniform logs.
-    auto_salt: bool = False
     validate_batch_size: int | None = None  # None -> Ray default (whole blocks)
-    applier_concurrency: int | tuple[int, int] | None = None
     compression: str = "zstd"
-    # Both modes write each epoch's winners per partition (the epoch's
-    # change feed).  "cow": also fold the partition into a fresh base
-    # every epoch (simple reads).  "delta": LSM — the winners file is
-    # a chain delta, folded at read and compacted past
-    # compact_chain_len (the 10^10 path: write amplification
-    # O(epoch winners) instead of O(table)).
+    # Every epoch writes each touched partition's winners file (the
+    # epoch's change feed).  "cow": also fold the partition into a
+    # fresh base every epoch (simple reads).  "delta": LSM — the
+    # winners file is a chain delta, folded at read and folded into a
+    # base once the chain holds compact_chain_len files (the 10^10
+    # path: write amplification O(epoch winners) instead of O(table)).
     write_mode: str = "cow"
     compact_chain_len: int = 8
-    # Size-tiered compaction trigger (post-commit pass, hash exchange):
-    # additionally compact a partition when its accumulated delta bytes
-    # reach ratio × base bytes — bounds read amplification in BYTES the
-    # way compact_chain_len bounds it in FILES (a huge base under a
-    # trickle of tiny deltas should NOT rewrite every N epochs, and a
-    # small base under fat deltas should not wait for N).  None = off.
+    # Size-tiered fold trigger (delta mode): also fold a touched
+    # partition once its chain's delta bytes reach ratio × base bytes —
+    # bounds read amplification in BYTES the way compact_chain_len
+    # bounds it in FILES (a huge base under a trickle of tiny deltas
+    # should NOT rewrite every N epochs, and a small base under fat
+    # deltas should not wait for N).  None = off.
     compact_delta_ratio: float | None = None
-    # Partition exchange strategy (SURVEY.md §8.1):
-    # "sort": groupby("part").map_groups — one deterministic writer per
-    #   partition per epoch; required for cow mode (the applier must see
-    #   the whole partition to rewrite it).
-    # "hash": Ray HASH_SHUFFLE repartition(keys=["part"]) consumed by
-    #   the split-tolerant SplitApplier as plain tasks — no global sort,
-    #   the epoch's only all-to-all becomes a pure hash bucket exchange.
-    #   Delta mode only (split writers can't rewrite whole partitions);
-    #   a part split across blocks yields multiple same-epoch delta
-    #   files whose conflicts the read-side fold resolves by LSN.
-    #   Hot keys need no salted pre-reduce here: an oversized partition
-    #   is split into multiple blocks by size, each reduced by its own
-    #   task — the splitting IS the salting.
+    # Accepted and ignored: every epoch takes the one exchange-free path.
     exchange: str = "sort"
     # Late materialization: a column-pruned envelope pass (lsn/op/doc_id
     # only) determines the winning LSN set first; the full read then
-    # filters to winners BEFORE the partition exchange, so the shuffle
-    # moves ~winners/events of the payload bytes — on a cluster, the
-    # network is the scarce resource this saves.  Adaptive: when the
+    # filters to winners in the validate stage, so the split writers
+    # see ~winners/events of the payload bytes.  Adaptive: when the
     # winner ratio exceeds ``late_mat_max_ratio`` (low duplication, no
-    # bytes to save), the epoch falls back to the classic single-pass
-    # path.  Winner set memory = 8 B × winners, shipped once per node
+    # bytes to save), the epoch falls back to the single-pass path.
+    # Winner set memory = 8 B × winners, shipped once per node
     # (ray.put) — bounded because epochs are bounded.
     late_materialization: bool = False
     late_mat_max_ratio: float = 0.7
-    # Epoch pipelining: while epoch E's exchange+apply executes, a
-    # background thread already runs epoch E+1's envelope scan (the
-    # next epoch's file set and watermark are deterministic from E's
-    # plan, so the winner set can be computed early).  The envelope
-    # DATASET is created on the main thread under the default sort
-    # strategy — its physical plan (read → map → sort → map) is
-    # shuffle-strategy independent, so executing it concurrently with
-    # the hash exchange is safe; Ray schedules both under one CPU
-    # budget.  On a prefetch miss (tail mode grew the file set, crash
-    # changed the watermark, thread error) the epoch recomputes
+    # Epoch pipelining: while epoch E's write executes, a background
+    # thread already runs epoch E+1's envelope scan (the next epoch's
+    # file set and watermark are deterministic from E's plan, so the
+    # winner set can be computed early); Ray schedules both under one
+    # CPU budget.  On a prefetch miss (tail mode grew the file set,
+    # crash changed the watermark, thread error) the epoch recomputes
     # inline — the prefetch is purely an overlap optimization.
     prefetch_envelope: bool = True
     # Ingest transform chain (tartare's contributor preprocesses, run
     # during export): registered step names applied to the validated
-    # change stream BEFORE the partition exchange, in declared order.
+    # change stream BEFORE the write, in declared order.
     # Each entry: ("step_name", {kwargs}).  Steps see change-event
     # batches (envelope + payload) and must preserve the envelope.
     ingest_steps: tuple = ()
     initial_schema: pa.Schema = BASE_SCHEMA
-
-
-def _salted_pre_reduce(ds: ray.data.Dataset, salts: int) -> ray.data.Dataset:
-    """Stage 1 of the skew-safe apply: reduce per (part, salt) so a hot
-    key's event stream fans out over ``salts`` groups before the final
-    per-partition merge.  Only partial winners (≤ one row per key per
-    salt) reach the second shuffle."""
-    import numpy as np
-
-    from ..stages.kernels import latest_per_key
-
-    def add_salt(b: pa.Table) -> pa.Table:
-        if "salt" in b.schema.names or len(b) == 0:
-            return b.append_column("salt", pa.array([], pa.int32())) if len(b) == 0 and "salt" not in b.schema.names else b
-        lsn = b["lsn"].combine_chunks().to_numpy(zero_copy_only=False)
-        return b.append_column("salt", pa.array((lsn % salts).astype(np.int32)))
-
-    def reduce_group(g: pa.Table) -> pa.Table:
-        return latest_per_key(g, key="doc_id", order_col="lsn", hash_col="doc_hash")
-
-    ds = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.groupby(["part", "salt"]).map_groups(reduce_group, batch_format="pyarrow")
-    return ds.drop_columns(["salt"])
 
 
 class CdcEngine:
@@ -219,17 +167,12 @@ class CdcEngine:
 
     def _phase1_dataset(self, chosen: list[LogFile], watermark: int, cpus: int):
         """Late-materialization phase-1 DATASET (lazy): envelope-only
-        scan → per-block pre-reduce → sort-based level-2 reduce.
-        Created on the caller's thread so the logical plan is fixed
-        under the default (sort) shuffle strategy — its physical ops
-        are strategy-independent at execution, which is what makes the
-        epoch-pipelined prefetch (consume on a thread while the hash
-        exchange runs) safe."""
-        from ..stages.kernels import latest_per_key
+        scan → per-block pre-reduce.  Created on the caller's thread;
+        the prefetch consumes it on another."""
         from ..stages.validate import EnvelopeWinnerStage
 
         env_paths, env_fs = resolve_read_paths([f.path for f in chosen])
-        env = ray.data.read_parquet(
+        return ray.data.read_parquet(
             env_paths,
             filesystem=env_fs,
             columns=["lsn", "op", "doc_id"],
@@ -239,30 +182,24 @@ class CdcEngine:
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        # Level-2 reduce stays the sort-based groupby even in hash-
-        # exchange mode: A/B'd against a HASH_SHUFFLE repartition of
-        # the envelope and the sort won at BOTH 8 and 32 CPUs (6.8 vs
-        # 8.0 s / 10.0 vs 18.6 s at 24M events) — the envelope rows
-        # are small, so aggregator-actor startup dominates the hash
-        # variant while the 64-value part sort is nearly free.
-        return env.groupby("part").map_groups(
-            lambda g: latest_per_key(g, "doc_id", "lsn", hash_col="doc_hash"),
-            batch_format="pyarrow",
-        )
 
-    def _phase1_consume(self, final, chosen: list[LogFile]):
+    def _phase1_consume(self, env, chosen: list[LogFile]):
         """Execute the phase-1 dataset → sorted winner-LSN ray.put ref,
         or None when the winner ratio is too high to pay for a second
-        read (adaptive fallback)."""
+        read (adaptive fallback).  The level-2 reduce runs here, on the
+        blocks' partial winners (≤ one (doc_id, lsn) row per doc per
+        block): a hash aggregate of the max LSN per doc_id, whose
+        values ARE the winner set — no shuffle."""
         import numpy as np
 
-        parts = [
-            b["lsn"].combine_chunks().to_numpy(zero_copy_only=False)
-            for b in final.select_columns(["lsn"]).iter_batches(
-                batch_format="pyarrow", batch_size=None
-            )
+        partials = [
+            b.select(["doc_id", "lsn"])
+            for b in env.iter_batches(batch_format="pyarrow", batch_size=None)
         ]
-        lsns = np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+        lsns = np.empty(0, np.int64)
+        if partials:
+            per_doc = pa.concat_tables(partials).group_by("doc_id").aggregate([("lsn", "max")])
+            lsns = np.sort(per_doc["lsn_max"].to_numpy())
         total = sum(f.num_rows for f in chosen)
         if total == 0 or len(lsns) / total > self.cfg.late_mat_max_ratio:
             return None  # low duplication: a second full read buys nothing
@@ -280,7 +217,7 @@ class CdcEngine:
     def _spawn_prefetch(self, cur_chosen: list[LogFile], cpus: int) -> None:
         """Plan epoch E+1 from E's deterministic outcome (watermark =
         max LSN of E's chosen files) and start computing its winner set
-        on a background thread, overlapping E's exchange+apply.  Reads
+        on a background thread, overlapping E's write.  Reads
         log files only — no engine state is touched."""
         import threading
 
@@ -339,17 +276,12 @@ class CdcEngine:
     def _epoch_max_bytes(self) -> int | None:
         max_bytes = self.cfg.epoch_max_bytes
         if max_bytes is None:
+            # store/5 of footer bytes: blocks stream through the
+            # per-block writers, so the epoch never needs to be resident
+            # at once (1.88M vs 1.42M ev/s for store/20 at 24M events,
+            # measured when this bound served the hash exchange)
             store = ray.cluster_resources().get("object_store_memory")
-            # Sort exchange: store/20 of footer bytes keeps the epoch's
-            # monolithic sort in memory (~store/6 resident, measured).
-            # Hash exchange has no global sort — blocks stream through
-            # per-bucket aggregators under backpressure — so it
-            # tolerates 4× bigger epochs (fewer commit barriers; 1.88M
-            # vs 1.42M ev/s at 24M events, measured).
-            divisor = 5 if (
-                self.cfg.exchange == "hash" and self.cfg.write_mode == "delta"
-            ) else 20
-            max_bytes = int(store // divisor) if store else None
+            max_bytes = int(store // 5) if store else None
         return max_bytes
 
     def _run_epoch_locked(self) -> Manifest | None:
@@ -428,21 +360,15 @@ class CdcEngine:
         self._schema_conflict = conflict[1].path if conflict else None
         epoch = (cur.epoch + 1) if cur is not None else 1
         snap_schema, change_schema = self._epoch_schemas(cur, chosen)
-        # Per-partition file chain in epoch order (cow: one base).
+        # Per-partition file chain in epoch order (cow: one base); the
+        # bytes feed the fold task's compact_delta_ratio trigger.
         parent_chain: dict[int, list[dict]] = {}
         if cur is not None:
             for pl in sorted(cur.partitions, key=lambda x: (x.p, x.epoch)):
                 parent_chain.setdefault(pl.p, []).append(
-                    {"file": pl.file, "kind": pl.kind}
+                    {"file": pl.file, "kind": pl.kind, "bytes": pl.bytes}
                 )
-
-        # Applier-pool sizing: the actor pool must fit under the CPU
-        # budget with room for the read/validate tasks — an oversubscribed
-        # pool can never finish spawning and the pipeline deadlocks.
         cpus = int(ray.cluster_resources().get("CPU", 4))
-        applier_conc = self.cfg.applier_concurrency or max(
-            1, min(self.cfg.num_partitions, cpus // 2)
-        )
 
         # Read WITHOUT a schema override: passing schema= makes Ray's
         # parquet datasource pathologically slow (~357s ctor vs 2s for a
@@ -450,19 +376,14 @@ class CdcEngine:
         # happens per-batch in the validate stage via conform(), which
         # handles exactly the same null-backfill + int-widening.  Block
         # count is sized from footer byte totals (~64 MB uncompressed
-        # per block, floor = cluster CPUs) so the shuffle sees few large
-        # blocks instead of hundreds of tiny ones (3× faster, measured).
+        # per block, floor = cluster CPUs), capped at 4×CPUs: schema-
+        # evolution files give ~7× row-count skew per block and finer
+        # tasks amortize the stragglers across waves.  Each block writes
+        # one split file per part it holds, so the cap also bounds the
+        # split files a fold task merges.
         ray.data.DataContext.get_current().decoding_size_estimation = False
         total_bytes = sum(f.bytes_uncompressed for f in chosen)
-        # Sort exchange: cap at 2×CPUs — the sort shuffle materializes
-        # blocks² transfer objects, so 8×CPU block counts drown the
-        # scheduler in tiny objects (measured: 225 blocks → 0.7M ev/s,
-        # 64 blocks → 1M+).  Hash exchange: no blocks² term (blocks
-        # stream through per-bucket aggregators), so 4×CPUs blocks —
-        # schema-evolution files give ~7× row-count skew per block and
-        # finer tasks amortize the stragglers across waves.
-        cap = 4 if (self.cfg.exchange == "hash" and self.cfg.write_mode == "delta") else 2
-        num_blocks = max(cpus, min(-(-total_bytes // (64 << 20)), cpus * cap))
+        num_blocks = max(cpus, min(-(-total_bytes // (64 << 20)), cpus * 4))
         # Row-dropping ingest steps are hoisted into the validate
         # stage (before its pre-reduce — batch-invariant semantics,
         # see ValidatePartitionStage.row_filters) and they force late
@@ -470,7 +391,7 @@ class CdcEngine:
         # envelope only, so a filtered winner would deterministically
         # drop its doc's older surviving events — the event-stream
         # filter semantics need full payloads in the main scan anyway
-        # (the filter itself prunes the shuffle instead).
+        # (the filter itself prunes the write instead).
         row_filters, xform_steps = self._split_ingest_steps()
         phases = {"plan_s": round(time.perf_counter() - t0, 3)}
         winners_ref = None
@@ -484,28 +405,13 @@ class CdcEngine:
             if self.cfg.prefetch_envelope:
                 # Epoch pipelining: start epoch E+1's envelope scan on
                 # a background thread NOW — it overlaps this epoch's
-                # exchange+apply.  Created here, while the global
-                # shuffle strategy is still the default, so its plan is
-                # the strategy-independent sort path (see
-                # _phase1_dataset); executing it during the hash window
-                # below is then safe.
+                # write.
                 self._spawn_prefetch(chosen, cpus)
-        use_hash = self.cfg.exchange == "hash" and self.cfg.write_mode == "delta"
-        ctx = ray.data.DataContext.get_current()
-        prev_strategy = ctx.shuffle_strategy
-        if use_hash:
-            from ray.data.context import ShuffleStrategy
-
-            # captured by the dataset at creation; restored in finally
-            ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        try:
-            return self._run_epoch_pipeline(
-                chosen, cur, epoch, watermark, snap_schema, change_schema,
-                parent_chain, cpus, applier_conc, num_blocks, winners_ref,
-                use_hash, row_filters, xform_steps, t0, phases,
-            )
-        finally:
-            ctx.shuffle_strategy = prev_strategy
+        return self._run_epoch_pipeline(
+            chosen, cur, epoch, watermark, snap_schema, change_schema,
+            parent_chain, num_blocks, winners_ref, row_filters, xform_steps,
+            t0, phases,
+        )
 
     def _split_ingest_steps(self):
         """Partition cfg.ingest_steps into pre-reduce row filters
@@ -527,10 +433,9 @@ class CdcEngine:
 
     def _run_epoch_pipeline(
         self, chosen, cur, epoch, watermark, snap_schema, change_schema,
-        parent_chain, cpus, applier_conc, num_blocks, winners_ref,
-        use_hash, row_filters, xform_steps, t0, phases=None,
+        parent_chain, num_blocks, winners_ref, row_filters, xform_steps,
+        t0, phases,
     ) -> Manifest:
-        phases = {} if phases is None else phases
         t_pipe = time.perf_counter()
         log_paths, log_fs = resolve_read_paths([f.path for f in chosen])
         ds = ray.data.read_parquet(
@@ -562,55 +467,59 @@ class CdcEngine:
                 ds,
                 [StepSpec(name=n, kwargs=dict(kw)) for n, kw in xform_steps],
             )
-        if use_hash:
-            # Sort-free exchange: hash-bucket rows by part; the
-            # split-tolerant applier runs as TASKS (no actor pool —
-            # hash-shuffle aggregators deadlock against pools,
-            # BASELINE.md) and tolerates parts split across blocks.
-            # Hot-key salting is unnecessary on this path (see
-            # EngineConfig.exchange).
-            # Exchange bucket count is independent of table partitions:
-            # the applier tolerates several parts per bucket and parts
-            # split across blocks, so buckets ≈ CPUs minimizes slice
-            # and aggregator-actor overhead.
-            n_buckets = min(self.cfg.num_partitions, max(8, cpus))
-            ds = ds.repartition(n_buckets, keys=["part"])
-            lineage_ds = ds.map_batches(
-                SplitApplier(
-                    table_root=self.table_root,
-                    epoch=epoch,
-                    snapshot_schema=snap_schema,
-                    compression=self.cfg.compression,
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
+        # Step 1: every block writes its own per-part winners as split
+        # files (SplitApplier, plain tasks fused with validate) — there
+        # is no exchange, and no task ever holds more than one block,
+        # so a hot key's epoch is spread over every block's writer.
+        split_ds = ds.map_batches(
+            SplitApplier(
+                table_root=self.table_root,
+                epoch=epoch,
+                snapshot_schema=snap_schema,
+                compression=self.cfg.compression,
+            ),
+            batch_format="pyarrow",
+            batch_size=None,
+            zero_copy_batch=True,
+        )
+        split_rows = split_ds.take_all()  # O(blocks × parts) rows
+        phases["split_s"] = round(time.perf_counter() - t_pipe, 3)
+        # Step 2: one task per touched partition merges its split files
+        # by LSN into the epoch's one winners file and folds the chain
+        # at its threshold (MergeApplier.fold_splits) — the same pattern
+        # as compaction, no shuffle.
+        t_fold = time.perf_counter()
+        by_p: dict[int, list[dict]] = {}
+        for r in split_rows:
+            by_p.setdefault(int(r["p"]), []).append(r)
+        items = [
+            {
+                "p": p,
+                "splits_json": json.dumps(sorted(r["file"] for r in rs)),
+                "lsn_lo": min(int(r["lsn_lo"]) for r in rs),
+                "lsn_hi": max(int(r["lsn_hi"]) for r in rs),
+                "events_applied": sum(int(r["events_applied"]) for r in rs),
+            }
+            for p, rs in sorted(by_p.items())
+        ]
+        fold_ds = None
+        lineage_rows = []
+        if items:
+            applier = MergeApplier(
+                table_root=self.table_root,
+                epoch=epoch,
+                snapshot_schema=snap_schema,
+                parent_chain=parent_chain,
+                compression=self.cfg.compression,
+                mode=self.cfg.write_mode,
+                compact_chain_len=self.cfg.compact_chain_len,
+                compact_delta_ratio=self.cfg.compact_delta_ratio,
             )
-        else:
-            salts = self.cfg.hot_key_salts
-            if salts is None and self.cfg.auto_salt:
-                from ..sources.sample import detect_hot_keys
-
-                rep = detect_hot_keys(chosen, self.cfg.num_partitions)
-                salts = rep.recommended_salts
-            if salts and salts > 1:
-                ds = _salted_pre_reduce(ds, salts)
-            lineage_ds = ds.groupby("part").map_groups(
-                MergeApplier,
-                fn_constructor_kwargs=dict(
-                    table_root=self.table_root,
-                    epoch=epoch,
-                    snapshot_schema=snap_schema,
-                    parent_chain=parent_chain,
-                    compression=self.cfg.compression,
-                    mode=self.cfg.write_mode,
-                    compact_chain_len=self.cfg.compact_chain_len,
-                ),
-                batch_format="pyarrow",
-                concurrency=applier_conc,
+            fold_ds = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
+                applier.fold_splits, batch_format="pyarrow", batch_size=1
             )
-        lineage_rows = lineage_ds.take_all()  # O(P) rows — small by design
-        phases["exchange_apply_s"] = round(time.perf_counter() - t_pipe, 3)
+            lineage_rows = fold_ds.take_all()  # one row per touched partition
+        phases["fold_s"] = round(time.perf_counter() - t_fold, 3)
         t_commit = time.perf_counter()
 
         touched = {int(r["p"]): r for r in lineage_rows}
@@ -651,6 +560,12 @@ class CdcEngine:
             source_files=[f.path for f in chosen],
         )
         self._commit(m)
+        # the splits live on only in the winners files the fold wrote
+        for r in split_rows:
+            try:
+                os.remove(os.path.join(self.table_root, r["file"]))
+            except FileNotFoundError:
+                pass
         phases["commit_s"] = round(time.perf_counter() - t_commit, 3)
         metrics = epoch_metrics(m, sorted(touched), time.perf_counter() - t0, phases)
         metrics["quarantined_rows"] = self._quarantine_count(epoch)
@@ -660,41 +575,15 @@ class CdcEngine:
             # epoch truncated before a poison file (operability signal)
             metrics["schema_conflict_file"] = self._schema_conflict
         try:
-            # per-operator execution profile (read/validate/shuffle/apply
-            # wall + memory), the ds.stats() feedback loop persisted per
-            # epoch so slow stages are diagnosable after the fact
-            metrics["ray_stats"] = lineage_ds.stats()[:4000]
+            # per-operator execution profile (read/validate/split write,
+            # then the fold tasks: wall + memory), the ds.stats()
+            # feedback loop persisted per epoch so slow stages are
+            # diagnosable after the fact
+            stats = [d.stats() for d in (split_ds, fold_ds) if d is not None]
+            metrics["ray_stats"] = "\n".join(stats)[:4000]
         except Exception:
             pass
         write_epoch_metrics(self.table_root, metrics)
-        if use_hash:
-            # Split mode never compacts inline (two splits of one part
-            # would race); fold chains over policy in a dedicated
-            # no-shuffle pass under the already-held writer lock —
-            # SELECTIVE: only offending partitions rewrite, the rest
-            # keep their chains (write amplification stays local).
-            from collections import Counter
-
-            per_p = Counter(pl.p for pl in m.partitions)
-            need = {
-                p for p, n in per_p.items() if n >= self.cfg.compact_chain_len
-            }
-            if self.cfg.compact_delta_ratio is not None:
-                base_b: dict[int, int] = {}
-                delta_b: dict[int, int] = {}
-                for pl in m.partitions:
-                    d = base_b if pl.kind == "base" else delta_b
-                    d[pl.p] = d.get(pl.p, 0) + pl.bytes
-                need |= {
-                    p
-                    for p, db in delta_b.items()
-                    if db > 0
-                    and db >= self.cfg.compact_delta_ratio * base_b.get(p, 0)
-                }
-            if need:
-                m2 = self._compact_locked(only=need)
-                if m2 is not None:
-                    return m2
         return m
 
     def _commit(self, m: Manifest) -> None:
@@ -938,9 +827,9 @@ class CdcEngine:
                 )
             )
         if multi:
-            # split-exchange epochs: one part may have several delta
-            # files with ≤1 winner per doc EACH — fold per part by
-            # LSN (task per part, no shuffle)
+            # epochs written by the earlier hash exchange: one part may
+            # have several split files with ≤1 winner per doc EACH —
+            # fold per part by LSN (task per part, no shuffle)
             root = self.table_root
 
             def fold(b: pa.Table) -> pa.Table:
@@ -1571,7 +1460,7 @@ class CdcEngine:
         (tiny files).  Streams the live snapshot (delete tombstones
         already resolved), re-hashes doc_id to ``new_num_partitions``
         (vectorized map_batches), and writes one fresh sorted BASE per
-        new partition via the engine's exchange, committing a new
+        new partition via a groupby on the new part, committing a new
         epoch at the SAME watermark.  The manifest records the new
         count and both readers (lookup/views) and subsequent epochs
         adopt it from the manifest, so the key→part mapping flips

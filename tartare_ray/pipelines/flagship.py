@@ -174,15 +174,13 @@ def run_flagship(sf_dir: str, num_partitions: int = 8) -> CdcEngine:
         log_dir,
         table_root,
         # the at-scale configuration (BASELINE.md flagship): LSM delta
-        # chains + sort-free hash exchange + late-materialized winner
-        # envelope — the same committed state as cow/sort (oracle-
-        # tested), exercised here so the driver smoke runs what a
-        # production replay would
+        # chains + late-materialized winner envelope — the same
+        # committed state as cow (oracle-tested), exercised here so the
+        # driver smoke runs what a production replay would
         EngineConfig(
             num_partitions=num_partitions,
             epoch_max_files=1,
             write_mode="delta",
-            exchange="hash",
             late_materialization=True,
         ),
     )

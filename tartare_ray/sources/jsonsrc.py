@@ -79,11 +79,14 @@ def conform_json_batch(batch: pa.Table) -> pa.Table:
 
 def read_change_jsonl(paths: list[str] | str) -> ray.data.Dataset:
     """Stream a JSONL change log as a Dataset with the engine's change
-    schema types."""
-    ds = ray.data.read_json(paths)
-    return ds.map_batches(
+    schema types, rows in file order (the read may split a file into
+    several blocks, whose map outputs would otherwise arrive in
+    task-completion order)."""
+    ds = ray.data.read_json(paths).map_batches(
         conform_json_batch, batch_format="pyarrow", zero_copy_batch=True
     )
+    ds.context.execution_options.preserve_order = True
+    return ds
 
 
 def jsonl_log_to_parquet(jsonl_dir: str, parquet_dir: str) -> list[str]:

@@ -1,32 +1,45 @@
-"""MergeApplier — the per-partition LSM-style upsert (engine centerpiece).
+"""The epoch write path: per-block split files, then one fold task per
+partition (engine centerpiece).
 
 Target analogue of tartare's export merge + GridFS publish step
 (`tartare/processes/fusio.py`, `tartare/core/gridfs_handler.py`
 `[UNVERIFIED — empty checkout, SURVEY.md §0]`), re-expressed as a
-hash-partitioned merge-apply (SURVEY.md §2A J2/ST2):
+partitioned merge-apply (SURVEY.md §2A J2/ST2) with no exchange: the
+latest-LSN reduce is associative, so each block can reduce and write
+its own winners and a per-partition task merges them afterwards.
 
-- runs as a callable class under
-  ``ds.groupby("part").map_groups(MergeApplier, concurrency=…)`` —
-  an actor pool; constructor state (schemas, root paths, parent
-  chains) is built once per actor, each ``__call__`` receives ONE
-  partition's pre-reduced events as a single Arrow table;
-- one write path: each epoch writes the partition's winners
-  (tombstones included) as ``delta-{p}-e{E}.parquet``; a partition's
-  state is the base + ordered delta chain, folded at read by
-  ``stages/compact.py::merge_chain``.  When the chain reaches its fold
-  threshold the same task also folds it into a fresh base
-  ``part-{p}-e{E}.parquet`` and the winners file stays beside it as
-  that epoch's change feed (lineage ``feed_file``).  ``mode="cow"`` is
-  the threshold 1 — every epoch folds, simplest reads, O(table) write
-  amplification; ``mode="delta"`` folds at ``compact_chain_len`` —
-  O(epoch winners) write amplification, the 10^10-events path;
+1. ``SplitApplier`` runs as plain ``map_batches`` tasks straight on the
+   validated blocks.  Each call reduces its block to latest-LSN
+   winners per doc_id and writes one split file per part it holds,
+   ``delta-{p}-e{E}-s{sid}.parquet``.  No task ever holds more than
+   one block, so a hot key's epoch spreads over as many writers as
+   there are blocks.
+2. ``MergeApplier.fold_splits`` runs once per touched partition
+   (``from_items(...).map_batches(..., batch_size=1)``).  It merges the
+   partition's split files by LSN into the epoch's one winners file
+   ``delta-{p}-e{E}.parquet`` (tombstones included).  A partition's
+   state is the base + ordered delta chain, folded at read by
+   ``stages/compact.py::merge_chain``.  When the chain reaches its fold
+   threshold the same task also folds it into a fresh base
+   ``part-{p}-e{E}.parquet`` and the winners file stays beside it as
+   that epoch's change feed (lineage ``feed_file``).  ``mode="cow"``
+   is the threshold 1 — every epoch folds, simplest reads, O(table)
+   write amplification; ``mode="delta"`` folds at ``compact_chain_len``
+   chain files, or earlier once the chain's delta bytes reach
+   ``compact_delta_ratio`` × its base bytes — O(epoch winners) write
+   amplification, the 10^10-events path.
+
+The driver deletes an epoch's split files once its manifest commits
+(``state/manifest.py::gc_orphans`` removes those a crash left behind),
+so every epoch keeps exactly one winners file per touched partition.
+
 - schema evolution happens lazily per touched partition: parent files
   are conformed to the epoch's unified schema at load;
 - all writes are deterministic tmp-name + ``os.replace`` so a retried
   task overwrites itself with identical bytes (exactly-once);
-- returns one lineage row per chain file (p, file, kind, rows, lsn
-  range, events_applied, bytes, feed_file) consumed by the manifest
-  commit.
+- the fold returns one lineage row per partition (p, file, kind, rows,
+  lsn range, events_applied, bytes, feed_file) consumed by the
+  manifest commit.
 
 The base snapshot carries no per-row LSN: every event in epoch E+1 has
 lsn > watermark(E) >= every LSN reflected in the base, so base rows
@@ -36,7 +49,9 @@ lose all conflicts by construction; across deltas the chain order
 
 from __future__ import annotations
 
+import json
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -56,6 +71,10 @@ def delta_file_name(p: int, epoch: int) -> str:
     return f"delta-{p:05d}-e{epoch:06d}.parquet"
 
 
+def split_file_name(p: int, epoch: int, sid: str) -> str:
+    return f"delta-{p:05d}-e{epoch:06d}-s{sid}.parquet"
+
+
 def _winners_body(winners: pa.Table, snapshot_schema: pa.Schema) -> pa.Table:
     """An epoch's winners as stored in its winners (delta) files: the
     (op, lsn) envelope, the snapshot columns, then the ``doc_hash``
@@ -70,15 +89,22 @@ def _winners_body(winners: pa.Table, snapshot_schema: pa.Schema) -> pa.Table:
 
 
 class MergeApplier:
+    """One partition's apply: reduce its rows by LSN, write the epoch's
+    winners file, fold the chain at the threshold.  The engine runs
+    ``fold_splits`` over split-file items; ``__call__`` takes one
+    partition's events (or partial winners) as a single table, for
+    callers that group by ``part`` themselves."""
+
     def __init__(
         self,
         table_root: str,
         epoch: int,
         snapshot_schema: pa.Schema,
-        parent_chain: dict[int, list[dict]],  # p -> [{"file","kind"}…] epoch order
+        parent_chain: dict[int, list[dict]],  # p -> [{"file","kind"[,"bytes"]}…] epoch order
         compression: str = "zstd",
         mode: str = "cow",
         compact_chain_len: int = 8,
+        compact_delta_ratio: float | None = None,
     ):
         assert mode in ("cow", "delta")
         self.table_root = table_root
@@ -89,16 +115,40 @@ class MergeApplier:
         # chain length (parent files + this epoch's) at which the
         # partition folds into a fresh base; cow folds every epoch
         self.fold_at = 1 if mode == "cow" else compact_chain_len
+        self.compact_delta_ratio = compact_delta_ratio
         os.makedirs(os.path.join(table_root, "data"), exist_ok=True)
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        import time
-
         t0 = time.perf_counter()
         if len(group) == 0:
             return _lineage_table([])
-        p = group["part"][0].as_py()
-        winners = latest_per_key(group, key="doc_id", order_col="lsn", hash_col="doc_hash")
+        row = {
+            "p": group["part"][0].as_py(),
+            "lsn_lo": pc.min(group["lsn"]).as_py(),
+            "lsn_hi": pc.max(group["lsn"]).as_py(),
+            "events_applied": len(group),
+        }
+        return _lineage_table([self._apply(row, group, t0)])
+
+    def fold_splits(self, batch: pa.Table) -> pa.Table:
+        """Each row names one partition's split files of this epoch
+        (``splits_json``) with their summed lineage (``lsn_lo``,
+        ``lsn_hi``, ``events_applied``).  The splits hold at most one
+        winner per doc_id each, over disjoint LSN sets, so the LSN
+        reduce over their union is the partition's epoch winners."""
+        rows = []
+        for item in batch.to_pylist():
+            t0 = time.perf_counter()
+            files = json.loads(item.pop("splits_json"))
+            split = pa.concat_tables(
+                [pq.read_table(os.path.join(self.table_root, f)) for f in files]
+            )
+            rows.append(self._apply(item, split, t0))
+        return _lineage_table(rows)
+
+    def _apply(self, row: dict, rows: pa.Table, t0: float) -> dict:
+        p = row["p"]
+        winners = latest_per_key(rows, key="doc_id", order_col="lsn", hash_col="doc_hash")
         # (doc_hash, doc_id) order: identical bytes under task retry,
         # and hash-clustered row groups for point-read pushdown
         body = _winners_body(winners, self.snapshot_schema).sort_by(
@@ -109,15 +159,10 @@ class MergeApplier:
         # change feed beside the fresh base
         delta = os.path.join("data", delta_file_name(p, self.epoch))
         write_data_file(os.path.join(self.table_root, delta), body, self.compression)
-        row = {
-            "p": p,
-            "lsn_lo": pc.min(group["lsn"]).as_py(),
-            "lsn_hi": pc.max(group["lsn"]).as_py(),
-            "events_applied": len(group),
-        }
         chain = self.parent_chain.get(p, [])
-        if len(chain) + 1 < self.fold_at:
-            row.update(file=delta, kind="delta", rows=len(body))
+        delta_bytes = os.path.getsize(os.path.join(self.table_root, delta))
+        if not self._folds(chain, delta_bytes):
+            row.update(file=delta, kind="delta", rows=len(body), bytes=delta_bytes)
         else:
             # FOLD: base + deltas + this epoch's winners into a fresh
             # base (tombstones physically dropped here)
@@ -126,38 +171,49 @@ class MergeApplier:
             ]
             final = merge_chain(tables + [body], self.snapshot_schema, keep_hash=True)
             base = os.path.join("data", part_file_name(p, self.epoch))
-            write_data_file(os.path.join(self.table_root, base), final, self.compression)
-            row.update(file=base, kind="base", rows=len(final), feed_file=delta)
-        row["bytes"] = os.path.getsize(os.path.join(self.table_root, row["file"]))
+            path = os.path.join(self.table_root, base)
+            write_data_file(path, final, self.compression)
+            row.update(
+                file=base, kind="base", rows=len(final),
+                bytes=os.path.getsize(path), feed_file=delta,
+            )
         row["apply_ms"] = (time.perf_counter() - t0) * 1000.0
-        return _lineage_table([row])
+        return row
+
+    def _folds(self, chain: list[dict], delta_bytes: int) -> bool:
+        """Fold at the chain-length threshold, or — size-tiered — once
+        the chain's delta bytes (this epoch's included) reach
+        ``compact_delta_ratio`` × its base bytes: read amplification is
+        then bounded in bytes as well as in files."""
+        if len(chain) + 1 >= self.fold_at:
+            return True
+        if self.compact_delta_ratio is None:
+            return False
+        base_b = sum(e.get("bytes", 0) for e in chain if e["kind"] == "base")
+        delta_b = delta_bytes + sum(e.get("bytes", 0) for e in chain if e["kind"] != "base")
+        return delta_b >= self.compact_delta_ratio * base_b
 
 
 class SplitApplier:
-    """Split-tolerant delta applier (the sort-free hash-exchange path,
-    SURVEY.md §8.1).  Consumes the hash-repartitioned change stream as
-    plain map_batches TASKS (never an actor pool — Ray 2.49's
-    hash-shuffle aggregator actors deadlock against a downstream actor
-    pool under a tight CPU budget, BASELINE.md): one call receives one
-    exchange partition's rows, which may hold SEVERAL parts, and — when
-    Ray splits large partitions into multiple blocks — only PART of a
-    part.  Correctness does not depend on one-writer-per-partition:
+    """Step 1 of the write path: reduce one validated block to its
+    per-part winners and write each part's winners as a split file.
+    Runs as plain ``map_batches`` tasks, fused with the validate stage.
+    One call may hold several parts and, since a part's events spread
+    over every block, only PART of a part.  Correctness does not depend
+    on one writer per partition:
 
-    - each call writes its batch's per-part winners as an independent
-      delta file ``delta-{p}-e{E}-s{sid}.parquet`` where ``sid`` is a
-      content hash of the part's LSN set — a retried task rewrites the
-      same name with the same bytes (exactly-once), while distinct
-      splits of one part cannot collide;
+    - each part's split is ``delta-{p}-e{E}-s{sid}.parquet`` where
+      ``sid`` is a content hash of the part's LSN set — a retried task
+      rewrites the same name with the same bytes (exactly-once), while
+      splits of one part from different blocks cannot collide;
     - two splits of one part may both carry a winner for the same
-      doc_id (disjoint LSN subsets); the read-side fold resolves by
-      LSN (``merge_chain``), which the watermark invariant makes total;
-    - no inline compaction (two splits deciding to compact would race);
-      the engine triggers ``compact()`` after commit when a chain
-      exceeds the limit.
+      doc_id (disjoint LSN subsets); ``MergeApplier.fold_splits``
+      reduces them by LSN, which the watermark invariant makes total.
 
-    Unlike MergeApplier this stage never reads parent chains — it is a
-    pure pre-reduce + write, so apply wall is O(epoch winners) with no
-    read amplification.
+    It never reads parent chains: it is a pure reduce + write, O(block
+    winners).  Tables written by the earlier hash exchange reference
+    split files in their chains; the readers (``merge_chain``,
+    ``lookup_keys_in_chain``, ``changes_dataset``) fold those by LSN.
     """
 
     def __init__(
@@ -175,7 +231,6 @@ class SplitApplier:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import hashlib
-        import time
 
         t0 = time.perf_counter()
         if len(batch) == 0:
@@ -199,14 +254,14 @@ class SplitApplier:
         starts = np.concatenate([[0], bounds])
         stops = np.concatenate([bounds, [len(parts)]])
         rows = []
-        # doc_hash stays in the delta file (hash-clustered row groups
-        # for point-read pushdown); only the routing column is dropped
+        # doc_hash stays in the split file (the fold re-sorts on it);
+        # only the routing column is dropped
         payload = body.drop_columns(["part"])
         for s, e in zip(starts, stops):
             p = int(parts[s])
             span = np.sort(lsns[s:e].copy())
             sid = hashlib.blake2b(span.tobytes(), digest_size=8).hexdigest()
-            fname = f"delta-{p:05d}-e{self.epoch:06d}-s{sid}.parquet"
+            fname = split_file_name(p, self.epoch, sid)
             path = os.path.join(self.table_root, "data", fname)
             write_data_file(path, payload.slice(s, e - s), self.compression)
             rows.append(
@@ -221,9 +276,8 @@ class SplitApplier:
                     "bytes": os.path.getsize(path),
                 }
             )
-        # Straggler metric (SURVEY.md §8.6): this writer TASK's wall,
-        # recorded on its first lineage row only (0 on the rest) so
-        # per-task walls can be aggregated without double counting.
+        # this task's wall, on its first lineage row only (0 on the
+        # rest), so per-task walls aggregate without double counting
         rows[0]["apply_ms"] = (time.perf_counter() - t0) * 1000.0
         return _lineage_table(rows)
 

@@ -34,11 +34,14 @@ from .kernels import key_hash, latest_per_key
 # Delta files carry the snapshot payload plus these envelope columns.
 DELTA_ENVELOPE = ("op", "lsn")
 
-# Row-group size for every data-file write.  Smaller than pyarrow's
-# 1Mi default so the doc_hash min/max statistics (files are written
-# hash-sorted) prune point reads to a handful of row groups even on
-# multi-million-row partitions; 128Ki keeps footer metadata small.
-ROW_GROUP_SIZE = 128 * 1024
+# Row groups per data file: a file of n rows is written in groups of
+# max(MIN_ROW_GROUP, ceil(n / MAX_ROW_GROUPS)) rows.  Files are written
+# hash-sorted, so each group's doc_hash min/max statistics are a tight
+# range and a point read decodes only the small group holding its key;
+# the cap keeps the per-footer loop of ``_read_pruned`` bounded on
+# multi-million-row bases.
+MIN_ROW_GROUP = 1024
+MAX_ROW_GROUPS = 64
 
 
 def write_data_file(path: str, tbl: pa.Table, compression: str = "zstd") -> None:
@@ -48,7 +51,8 @@ def write_data_file(path: str, tbl: pa.Table, compression: str = "zstd") -> None
     import os
 
     tmp = path + ".inprogress"
-    pq.write_table(tbl, tmp, compression=compression, row_group_size=ROW_GROUP_SIZE)
+    rows = max(MIN_ROW_GROUP, -(-len(tbl) // MAX_ROW_GROUPS))
+    pq.write_table(tbl, tmp, compression=compression, row_group_size=rows)
     os.replace(tmp, path)
 
 
@@ -62,7 +66,8 @@ def merge_chain(
     winning tombstones (op="D") are dropped.  LSN ordering — not chain
     position — makes the fold correct when one epoch contributes
     SEVERAL delta files for a partition (the split-tolerant hash
-    exchange), since the splits carry disjoint LSN sets per doc.
+    exchange, still referenced by tables it wrote), since the splits
+    carry disjoint LSN sets per doc.
     Output sorted by (hash, doc_id) — same deterministic order the
     applier writes."""
     if not tables:
@@ -185,10 +190,11 @@ def lookup_keys_in_chain(
     log in LSN order, so a key found in epoch E cannot be outranked by
     any older epoch — once every key is resolved the scan STOPS, never
     touching the base file when the keys all live in recent deltas
-    (the hot-key common case under zipf traffic).  Within ONE epoch a
-    partition may hold several split delta files (hash exchange) whose
-    LSN sets per doc are disjoint, so files of the same epoch are read
-    together and reduced by LSN before resolution.
+    (the hot-key common case under zipf traffic).  Tables written by the
+    earlier hash exchange may hold several split delta files of ONE
+    epoch per partition, whose LSN sets per doc are disjoint, so files
+    of the same epoch are read together and reduced by LSN before
+    resolution.
 
     Only ``columns`` (+ the op/lsn envelope) are read from each file —
     the retraction path of an incremental view needs 3 columns of a
@@ -196,14 +202,16 @@ def lookup_keys_in_chain(
 
     Files carrying the stored ``doc_hash`` cluster column (post-round-2
     format) additionally get row-group pruning: data files are
-    hash-sorted with ``ROW_GROUP_SIZE`` rows per group, so each row
-    group's footer min/max statistics on doc_hash are tight ranges —
-    the sorted key hashes are binary-searched against them and only
-    intersecting row groups are read (~1 per key instead of the whole
-    file).  Done via footer stats + ``read_row_groups`` rather than a
-    ``filters=`` expression because pyarrow's stats pruning handles
-    or-of-equalities but not ``isin`` (and an or-chain over thousands
-    of retraction keys is quadratic to build).
+    hash-sorted in at most ``MAX_ROW_GROUPS`` groups of at least
+    ``MIN_ROW_GROUP`` rows (``write_data_file``), so each row group's
+    footer min/max statistics on doc_hash are tight ranges — the
+    sorted key hashes are binary-searched against them and only
+    intersecting row groups are read and decoded (~1 small group per
+    key instead of the whole file).  Done via footer stats +
+    ``read_row_groups`` rather than a ``filters=`` expression because
+    pyarrow's stats pruning handles or-of-equalities but not ``isin``
+    (and an or-chain over thousands of retraction keys is quadratic to
+    build).
 
     Returns live winner rows conformed to ``columns`` of the snapshot
     schema; keys that are absent or whose winner is a tombstone

@@ -49,13 +49,6 @@ def add_hash_partition_column(
     return tbl
 
 
-def sort_by_key_then(tbl: pa.Table, key: str, hash_col: str, order_cols: list[tuple[str, str]]) -> pa.Table:
-    """Deterministic sort clustering equal keys adjacently using the
-    int64 ``hash_col`` as the primary (fast) sort key; the string key
-    itself breaks hash ties so ordering stays total and deterministic."""
-    return tbl.sort_by([(hash_col, "ascending"), (key, "ascending"), *order_cols])
-
-
 def _first_occurrence_mask(arr: pa.Array) -> pa.BooleanArray:
     """True at the first row of each run of equal values (arr must be
     sorted so equal values are adjacent)."""

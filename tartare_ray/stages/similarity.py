@@ -205,32 +205,9 @@ def spherical_kmeans(train: np.ndarray, k: int, iters: int = 10, seed: int = 42)
     return c
 
 
-class IVFProbeStage:
-    """One pass over the corpus: assign each vector to its nearest
-    centroid, keep only vectors in a cluster some query probes, and
-    emit partial top-k rows (q_id, vec_id, cos) against exactly the
-    queries probing that cluster.  At scale this is the standard IVF
-    read pattern: nprobe/k of the corpus is scanned per query instead
-    of all of it — the assignment can also be precomputed and stored
-    partitioned by cluster, making the scan a partition-pruned read."""
-
-    def __init__(self, centroids_ref, queries_ref, probe_map, k: int):
-        self.centroids = ray.get(centroids_ref)
-        self.q_ids, self.q = ray.get(queries_ref)
-        self.probe_map = probe_map  # cluster -> np.ndarray of query row indices
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        m = l2_normalize(embedding_matrix(batch))
-        assign = np.argmax(m @ self.centroids.T, axis=1)
-        return _probe_cells(ids, m, assign, self.q_ids, self.q, self.probe_map, self.k)
-
-
 def _probe_cells(ids, m, assign, q_ids, q, probe_map, k) -> pa.Table:
     """Partial top-k of each probing query against its probed cells'
-    vectors in this batch (shared by the assign-on-read and
-    stored-assignment probe stages)."""
+    vectors in this batch."""
     out_q, out_v, out_c = [], [], []
     for cl in np.unique(assign):
         q_rows = probe_map.get(int(cl))

@@ -1,7 +1,7 @@
 """Validate + schema-unify + pre-reduce + partition-tag stage.
 
-One fused ``map_batches`` stage (stateful: compiled schema & quarantine
-writer held per actor) that, per zero-copy Arrow batch:
+One fused ``map_batches`` stage (compiled schema & quarantine writer
+held per task) that, per zero-copy Arrow batch:
 
 1. drops rows at or below the committed watermark (duplicate-delivery /
    at-least-once tail safety — exactly-once rule D1, SURVEY.md §2A);
@@ -11,13 +11,12 @@ writer held per actor) that, per zero-copy Arrow batch:
    (`tartare/core/fetcher.py` `[UNVERIFIED — empty checkout]`);
 3. conforms the batch to the epoch's unified change schema
    (null-backfill added columns, widen token lists int32→int64);
-4. pre-reduces latest-LSN-per-doc_id *within the batch* — this bounds
-   shuffle skew from zipf-hot keys: a key that dominates the epoch
-   contributes at most one row per input batch to the shuffle instead
-   of its full event count (the salted pre-reduce of SURVEY.md §4.2,
-   with batch-id as the implicit salt);
-5. tags each row with ``part = hash(doc_id) % P`` for the groupby
-   shuffle.
+4. pre-reduces latest-LSN-per-doc_id *within the batch* — a key that
+   dominates the epoch contributes at most one row per block to its
+   partition's fold instead of its full event count (SURVEY.md §4.2,
+   with the block as the implicit salt);
+5. tags each row with ``part = hash(doc_id) % P``, which names the
+   split file (``stages/apply.py``) the row is written to.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ VALID_OPS = ("I", "U", "D")
 
 
 class ValidatePartitionStage:
-    """Callable class -> actor pool via ``map_batches(cls, concurrency=…)``."""
+    """Run as plain ``map_batches`` tasks (an instance, not the class)."""
 
     def __init__(
         self,
@@ -124,8 +123,8 @@ class ValidatePartitionStage:
         batch = batch.filter(pc.greater(batch["lsn"], self.watermark))
         if self.winners_ref is not None and len(batch):
             # late materialization (phase 2): keep only rows whose LSN
-            # won phase 1 — the shuffle then carries winners' payloads
-            # only.  Sorted-array searchsorted: node-local broadcast,
+            # won phase 1 — the split writers then see winners'
+            # payloads only.  Sorted-array searchsorted: node-local broadcast,
             # O(log w) per row, no hash-set build per batch.
             import numpy as np
             import ray as _ray
@@ -159,10 +158,11 @@ class EnvelopeWinnerStage:
     """Phase 1 of late materialization: the same row rules as the full
     validate (envelope validity + watermark), applied to an
     envelope-only scan (columns lsn/op/doc_id — column-pruned read),
-    pre-reduced per batch.  Its per-partition final reduce yields the
-    winning LSN set; only those rows' payloads are then read and
-    shuffled (phase 2) — the exchange moves ~winners/events of the
-    bytes."""
+    pre-reduced per batch.  The max LSN per doc_id over its outputs
+    (``CdcEngine._phase1_consume``) is the winning LSN set; only those
+    rows' payloads are then kept by the
+    full read (phase 2), so the split writers see ~winners/events of
+    the bytes."""
 
     def __init__(self, watermark: int, num_partitions: int):
         self.watermark = watermark

@@ -30,6 +30,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 import pyarrow as pa
@@ -112,10 +113,6 @@ class Manifest:
         }
 
 
-def _manifest_path(table_root: str, epoch: int) -> str:
-    return os.path.join(table_root, "_manifests", f"e{epoch:06d}.json")
-
-
 def load_epoch(table_root: str, epoch: int) -> Manifest:
     """A committed epoch's manifest — time travel to any epoch still
     retained by ``gc_epochs`` (tartare's immutable dated Export
@@ -141,15 +138,6 @@ def load_current(table_root: str) -> Manifest | None:
     except FileNotFoundError:
         return None
     return load_epoch(table_root, epoch)
-
-
-def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 def commit_manifest(table_root: str, m: Manifest, *, guard_parent: bool = False) -> None:
@@ -431,9 +419,19 @@ def gc_log(table_root: str, log_dir) -> int:
         return removed
 
 
+# An epoch's per-block split file (stages/apply.py::split_file_name).
+_SPLIT_RE = re.compile(r"delta-\d+-e(\d+)-s[0-9a-f]+\.parquet")
+
+
 def gc_orphans(table_root: str) -> int:
-    """Remove in-progress tmp files left by a crashed writer — data
-    parts plus manifest/consumer-cursor atomic-write leftovers."""
+    """Remove what a crashed writer left behind: in-progress tmp files
+    (data parts plus manifest/consumer-cursor atomic writes) and split
+    files no commit will reference — those of an epoch above CURRENT
+    (a crash before the commit), and those of CURRENT that its manifest
+    does not name (a crash between the commit and the split cleanup).
+    Split files a committed manifest references (tables written by the
+    earlier hash exchange) stay; older unreferenced ones are left to
+    ``gc_epochs``."""
     n = 0
     for sub, suffix in (
         ("data", ".inprogress"),
@@ -446,4 +444,19 @@ def gc_orphans(table_root: str) -> int:
                 if name.endswith(suffix):
                     os.remove(os.path.join(d, name))
                     n += 1
+    data = os.path.join(table_root, "data")
+    splits = []
+    if os.path.isdir(data):
+        for name in os.listdir(data):
+            m = _SPLIT_RE.fullmatch(name)
+            if m:
+                splits.append((name, int(m.group(1))))
+    if splits:
+        cur = load_current(table_root)
+        head = cur.epoch if cur is not None else 0
+        live = cur.referenced_files() if cur is not None else set()
+        for name, e in splits:
+            if e > head or (e == head and os.path.join("data", name) not in live):
+                os.remove(os.path.join(data, name))
+                n += 1
     return n

@@ -424,7 +424,7 @@ def test_time_travel_to_gcd_epoch_errors_clearly(ray_session, tmp_path):
 
 def test_kitchen_sink_config_combination(ray_session, tmp_path):
     """All engine options at once — multi-source union, delta write
-    mode, forced salting, late materialization, an ingest transform —
+    mode, chain folds, late materialization, an ingest transform —
     interact correctly: final table equals the oracle folded through
     the same transform."""
     import shutil
@@ -450,7 +450,6 @@ def test_kitchen_sink_config_combination(ray_session, tmp_path):
             epoch_max_files=2,
             write_mode="delta",
             compact_chain_len=2,
-            hot_key_salts=3,
             late_materialization=True,
             late_mat_max_ratio=1.01,
             ingest_steps=(("truncate_tokens", {"max_len": 10}),),
@@ -511,11 +510,11 @@ def test_epoch_metrics_straggler_and_phases(ray_session, tmp_path):
         str(tmp_path / "log"), GenConfig(n_events=4000, n_docs=400, events_per_file=2000)
     )
     for cfg in (
-        EngineConfig(num_partitions=4, write_mode="delta", exchange="hash",
+        EngineConfig(num_partitions=4, write_mode="delta",
                      late_materialization=True, late_mat_max_ratio=1.01),
         EngineConfig(num_partitions=4),
     ):
-        root = str(tmp_path / f"table-{cfg.exchange}-{cfg.write_mode}")
+        root = str(tmp_path / f"table-{cfg.write_mode}")
         eng = CdcEngine(os.path.dirname(res.files[0]), root, cfg)
         eng.replay()
         m = json.load(open(os.path.join(root, "_metrics", "e000001.json")))
@@ -524,7 +523,8 @@ def test_epoch_metrics_straggler_and_phases(ray_session, tmp_path):
         assert s["apply_ms_max"] >= s["apply_ms_mean"] > 0
         assert s["apply_straggler_max_over_mean"] >= 1.0
         ph = m["phases"]
-        assert ph["exchange_apply_s"] > 0 and "plan_s" in ph and "commit_s" in ph
+        assert ph["split_s"] > 0 and ph["fold_s"] > 0
+        assert "plan_s" in ph and "commit_s" in ph
         if cfg.late_materialization:
             assert "envelope_s" in ph
 

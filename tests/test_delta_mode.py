@@ -206,16 +206,16 @@ def test_targeted_compact_folds_only_selected(tmp_log, ray_session):
 
 
 def test_delta_ratio_compaction_trigger(tmp_log, ray_session):
-    """compact_delta_ratio: the hash-exchange post-commit pass folds a
-    partition once its delta bytes reach ratio x base bytes, even far
-    below compact_chain_len."""
+    """compact_delta_ratio: the fold task folds a partition in the same
+    epoch once its delta bytes reach ratio x base bytes, even far below
+    compact_chain_len."""
     res, cfg, tmp_path = tmp_log
     eng = CdcEngine(
         os.path.dirname(res.files[0]),
         str(tmp_path / "table-ratio"),
         EngineConfig(
             num_partitions=4, epoch_max_files=1, write_mode="delta",
-            exchange="hash", compact_chain_len=1000,
+            compact_chain_len=1000,
             compact_delta_ratio=0.0,  # any delta bytes trigger a fold
         ),
     )

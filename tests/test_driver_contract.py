@@ -6,6 +6,8 @@ from __future__ import annotations
 import glob
 import os
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 ALLOWED_RAY_INIT = {
     "tartare_ray/__main__.py",  # CLI owns its session (guarded)
 }
@@ -17,10 +19,10 @@ def test_no_ray_init_in_library_code():
     import ast
 
     offenders = []
-    files = glob.glob("/root/repo/tartare_ray/**/*.py", recursive=True)
-    files.append("/root/repo/__ray_entry__.py")
+    files = glob.glob(os.path.join(REPO, "tartare_ray", "**", "*.py"), recursive=True)
+    files.append(os.path.join(REPO, "__ray_entry__.py"))
     for p in files:
-        rel = os.path.relpath(p, "/root/repo")
+        rel = os.path.relpath(p, REPO)
         if rel in ALLOWED_RAY_INIT:
             continue
         tree = ast.parse(open(p).read())

@@ -12,6 +12,8 @@ import pytest
 from tartare_ray.oracle import replay_oracle
 from tartare_ray.pipelines.flagship import derive_change_log, flagship_workdir, run_flagship
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -68,7 +70,7 @@ def test_bench_emits_valid_json_line(tmp_path):
 
     env = dict(
         os.environ,
-        PYTHONPATH="/root/repo",
+        PYTHONPATH=REPO,
         RAY_ADDRESS="local",
         GRAFT_BENCH_EVENTS="50000",
         RAY_GRAFT_CPUS="4",
@@ -76,7 +78,7 @@ def test_bench_emits_valid_json_line(tmp_path):
     )
     r = subprocess.run(
         [sys.executable, "bench.py"],
-        capture_output=True, text=True, timeout=420, env=env, cwd="/root/repo",
+        capture_output=True, text=True, timeout=420, env=env, cwd=REPO,
     )
     assert r.returncode == 0, r.stderr[-2000:]
     out = json.loads(r.stdout.strip().splitlines()[-1])

@@ -1,9 +1,10 @@
-"""Split-tolerant hash-exchange path (EngineConfig.exchange="hash",
-SURVEY.md §8.1): the epoch's all-to-all becomes a HASH_SHUFFLE
-repartition consumed by SplitApplier tasks.  Correctness must hold
-when Ray splits one partition's rows across several blocks — each
-split writes an independent same-epoch delta file and the read-side
-fold resolves conflicts by LSN."""
+"""The exchange-free write path (stages/apply.py): every validated
+block writes its own per-part split files (SplitApplier tasks), and
+one task per touched partition merges them by LSN into the epoch's
+one winners file (MergeApplier.fold_splits).  One partition's rows
+always span several blocks, so correctness rests on the split files
+carrying disjoint LSN sets that the fold resolves by LSN.  The test
+names keep the hash exchange this path replaced."""
 
 from __future__ import annotations
 
@@ -44,16 +45,24 @@ def gen_dir(tmp_path):
 
 
 def test_hash_exchange_replay_matches_oracle(ray_session, gen_dir, tmp_path):
+    from tartare_ray.state.manifest import load_epoch
+
     log, res = gen_dir
+    root = str(tmp_path / "table")
     eng = CdcEngine(
         log,
-        str(tmp_path / "table"),
-        EngineConfig(
-            num_partitions=8, write_mode="delta", exchange="hash", epoch_max_files=2
-        ),
+        root,
+        EngineConfig(num_partitions=8, write_mode="delta", epoch_max_files=2),
     )
-    eng.replay()
+    m = eng.replay()
     _assert_table_equals(eng.snapshot_table(), replay_oracle(res.files))
+    # every epoch keeps exactly one winners file per touched partition,
+    # and no split file outlives its epoch's commit
+    for e in range(1, m.epoch + 1):
+        mine = [pl for pl in load_epoch(root, e).partitions if pl.epoch == e]
+        assert len({pl.p for pl in mine}) == len(mine) > 0
+        assert all(os.path.basename(pl.file) == f"delta-{pl.p:05d}-e{e:06d}.parquet" for pl in mine)
+    assert not [f for f in os.listdir(os.path.join(root, "data")) if "-s" in f]
 
 
 @pytest.mark.slow
@@ -61,9 +70,8 @@ def test_hash_exchange_with_late_materialization_matches_oracle(
     ray_session, gen_dir, tmp_path
 ):
     """The flagship bench combination (BASELINE.md): phase-1 winner
-    envelope prunes the shuffle to winners only, hash exchange moves
-    them sort-free, SplitApplier writes deltas.  Must equal the oracle
-    exactly across multi-epoch replay."""
+    envelope prunes the split writers' input to winners only.  Must
+    equal the oracle exactly across multi-epoch replay."""
     log, res = gen_dir
     eng = CdcEngine(
         log,
@@ -71,7 +79,6 @@ def test_hash_exchange_with_late_materialization_matches_oracle(
         EngineConfig(
             num_partitions=8,
             write_mode="delta",
-            exchange="hash",
             epoch_max_files=2,
             late_materialization=True,
             late_mat_max_ratio=1.01,  # force the two-phase path
@@ -82,14 +89,17 @@ def test_hash_exchange_with_late_materialization_matches_oracle(
 
 
 def test_split_applier_same_epoch_splits_fold_by_lsn(ray_session, tmp_path):
-    """The machinery a block split exercises, tested directly (Ray
-    2.49's hash shuffle happens to emit one block per bucket, so a
-    pipeline-level split can't be forced): one part's epoch rows
-    arrive at SplitApplier in two separate calls with interleaved
-    LSNs for the same doc_ids; each call writes its own delta file;
-    merge_chain folds base + both splits to the per-doc max-LSN row."""
+    """The machinery every epoch exercises, tested directly: one
+    part's epoch rows arrive at SplitApplier in two separate calls
+    (two blocks) with interleaved LSNs for the same doc_ids; each call
+    writes its own split file; MergeApplier.fold_splits merges both
+    into one winners file of per-doc max-LSN rows, and merge_chain
+    folds base + that file (or base + both splits, as a table written
+    by the hash exchange holds them) to the same state."""
+    import json
+
     from tartare_ray.schema import BASE_SCHEMA
-    from tartare_ray.stages.apply import SplitApplier
+    from tartare_ray.stages.apply import MergeApplier, SplitApplier
     from tartare_ray.stages.compact import merge_chain
     from tartare_ray.stages.kernels import key_hash
 
@@ -143,6 +153,29 @@ def test_split_applier_same_epoch_splits_fold_by_lsn(ray_session, tmp_path):
     # d3: base only.
     assert state == {"d1": [9, 9], "d2": [2, 2], "d3": [3]}
 
+    folder = MergeApplier(
+        root, epoch=2, snapshot_schema=BASE_SCHEMA, parent_chain={}, mode="delta"
+    )
+    item = pa.table(
+        {
+            "p": pa.array([0], pa.int32()),
+            "splits_json": [json.dumps([f1, f2])],
+            "lsn_lo": pa.array([10], pa.int64()),
+            "lsn_hi": pa.array([41], pa.int64()),
+            "events_applied": pa.array([4], pa.int64()),
+        }
+    )
+    lin = folder.fold_splits(item).to_pylist()
+    assert [(r["p"], r["kind"], r["rows"], r["events_applied"]) for r in lin] == [
+        (0, "delta", 2, 4)
+    ]
+    winners = pq.read_table(os.path.join(root, lin[0]["file"]))
+    assert sorted(zip(winners["doc_id"].to_pylist(), winners["lsn"].to_pylist())) == [
+        ("d1", 40), ("d2", 41)
+    ]
+    merged = merge_chain([base, winners], BASE_SCHEMA)
+    assert {r["doc_id"]: r["tokens"] for r in merged.to_pylist()} == state
+
 
 def test_split_applier_retry_writes_identical_file(ray_session, tmp_path):
     """A retried task (same batch) rewrites the SAME file name with the
@@ -176,8 +209,8 @@ def test_split_applier_retry_writes_identical_file(ray_session, tmp_path):
 
 @pytest.mark.slow
 def test_hash_exchange_triggers_compaction(ray_session, gen_dir, tmp_path):
-    """Chains past compact_chain_len are folded by a post-commit
-    compaction pass (split mode never compacts inline)."""
+    """Chains that reach compact_chain_len are folded by the epoch's
+    own fold task."""
     log, res = gen_dir
     eng = CdcEngine(
         log,
@@ -185,7 +218,6 @@ def test_hash_exchange_triggers_compaction(ray_session, gen_dir, tmp_path):
         EngineConfig(
             num_partitions=8,
             write_mode="delta",
-            exchange="hash",
             epoch_max_files=1,
             compact_chain_len=3,
         ),
@@ -200,8 +232,8 @@ def test_hash_exchange_triggers_compaction(ray_session, gen_dir, tmp_path):
 
 @pytest.mark.slow
 def test_changes_dataset_split_epoch_unique_winners(ray_session, gen_dir, tmp_path):
-    """A split epoch's change feed must still emit ≤1 winner per
-    doc_id even when a part's winners span several delta files."""
+    """An epoch's change feed must still emit ≤1 winner per doc_id
+    when small blocks spread a part's winners over many split files."""
     import ray.data
 
     log, res = gen_dir
@@ -215,7 +247,6 @@ def test_changes_dataset_split_epoch_unique_winners(ray_session, gen_dir, tmp_pa
             EngineConfig(
                 num_partitions=4,
                 write_mode="delta",
-                exchange="hash",
                 compact_chain_len=1000,
             ),
         )
@@ -246,7 +277,7 @@ def test_hash_exchange_idempotent_rereplay(ray_session, gen_dir, tmp_path):
     same state."""
     log, res = gen_dir
     root = str(tmp_path / "table")
-    cfg = EngineConfig(num_partitions=8, write_mode="delta", exchange="hash")
+    cfg = EngineConfig(num_partitions=8, write_mode="delta")
     eng = CdcEngine(log, root, cfg)
     m1 = eng.replay()
     snap1 = eng.snapshot_table()
@@ -270,7 +301,6 @@ def test_envelope_prefetch_hits_and_matches_oracle(ray_session, gen_dir, tmp_pat
         EngineConfig(
             num_partitions=8,
             write_mode="delta",
-            exchange="hash",
             epoch_max_files=2,
             late_materialization=True,
             late_mat_max_ratio=1.01,
@@ -309,7 +339,6 @@ def test_envelope_prefetch_miss_on_grown_log(ray_session, tmp_path):
         EngineConfig(
             num_partitions=4,
             write_mode="delta",
-            exchange="hash",
             epoch_max_files=2,
             late_materialization=True,
             late_mat_max_ratio=1.01,
@@ -329,7 +358,7 @@ def test_envelope_prefetch_miss_on_grown_log(ray_session, tmp_path):
 
 def test_hash_path_crash_before_commit_is_exactly_once(ray_session, gen_dir, tmp_path):
     """Flagship-config variant of the two-phase crash test: kill after
-    the SplitApplier wrote its split delta files but before the
+    the split files and winners files are written but before the
     manifest/CURRENT swap.  Re-run must converge to the oracle, any
     orphaned split files from the crashed attempt must never be
     referenced by a committed manifest, and gc_epochs must reclaim
@@ -343,7 +372,6 @@ def test_hash_path_crash_before_commit_is_exactly_once(ray_session, gen_dir, tmp
     cfg = EngineConfig(
         num_partitions=8,
         write_mode="delta",
-        exchange="hash",
         epoch_max_files=2,
         late_materialization=True,
         late_mat_max_ratio=1.01,
@@ -383,3 +411,80 @@ def test_hash_path_crash_before_commit_is_exactly_once(ray_session, gen_dir, tmp
     left = set(os.listdir(os.path.join(root, "data")))
     assert not (orphans & left), orphans & left
     _assert_table_equals(CdcEngine(log, root, cfg).snapshot_table(), replay_oracle(res.files))
+
+
+def test_crash_after_commit_leaves_no_split_files(ray_session, tmp_path):
+    """A crash between the manifest commit and the split cleanup leaves
+    the committed epoch's split files behind; the next epoch's
+    gc_orphans removes them and the replay still equals the oracle."""
+    import pytest
+
+    res = generate_log(
+        str(tmp_path / "log"), GenConfig(n_events=4000, n_docs=300, events_per_file=1000)
+    )
+    log = os.path.dirname(res.files[0])
+    root = str(tmp_path / "table")
+    cfg = EngineConfig(num_partitions=4, write_mode="delta", epoch_max_files=2)
+
+    class CrashAfterCommit(CdcEngine):
+        def _commit(self, m):
+            super()._commit(m)
+            raise RuntimeError("injected crash after CURRENT swap")
+
+    with pytest.raises(RuntimeError, match="injected crash"):
+        CrashAfterCommit(log, root, cfg).run_epoch()
+    data = os.path.join(root, "data")
+    assert any("-s" in f for f in os.listdir(data))
+    eng = CdcEngine(log, root, cfg)
+    m = eng.replay()
+    assert m.epoch == 2
+    assert not any("-s" in f for f in os.listdir(data))
+    _assert_table_equals(eng.snapshot_table(), replay_oracle(res.files))
+
+
+def test_gc_orphans_keeps_referenced_split_files(tmp_path):
+    """gc_orphans removes split files above CURRENT and CURRENT's
+    unreferenced ones, never a split file a manifest references (a
+    table written by the hash exchange keeps its splits in its chains)."""
+    from tartare_ray.schema import BASE_SCHEMA
+    from tartare_ray.state.manifest import (
+        Manifest,
+        PartitionLineage,
+        commit_manifest,
+        gc_orphans,
+    )
+
+    root = str(tmp_path / "table")
+    data = os.path.join(root, "data")
+    os.makedirs(data)
+    carried = "delta-00001-e000001-s00000000000000aa.parquet"
+    current = "delta-00000-e000002-s00000000000000bb.parquet"
+    stale = "delta-00000-e000002-s00000000000000cc.parquet"
+    future = "delta-00003-e000003-s00000000000000dd.parquet"
+    winners = "delta-00002-e000002.parquet"
+    for name in (carried, current, stale, future, winners):
+        open(os.path.join(data, name), "wb").close()
+
+    def lineage(p, name, epoch):
+        return PartitionLineage(
+            p=p, file=f"data/{name}", rows=1, lsn_lo=0, lsn_hi=1,
+            events_applied=1, bytes=1, kind="delta", epoch=epoch,
+        )
+
+    def manifest(epoch, partitions):
+        return Manifest(
+            epoch=epoch,
+            parent_epoch=epoch - 1 if epoch > 1 else None,
+            watermark_lsn=epoch,
+            schema_b64=Manifest.encode_schema(BASE_SCHEMA),
+            schema_fingerprint="f",
+            partitions=partitions,
+        )
+
+    commit_manifest(root, manifest(1, [lineage(1, carried, 1)]))
+    commit_manifest(
+        root,
+        manifest(2, [lineage(0, current, 2), lineage(1, carried, 1), lineage(2, winners, 2)]),
+    )
+    assert gc_orphans(root) == 2
+    assert set(os.listdir(data)) == {carried, current, winners}

@@ -243,7 +243,7 @@ def test_n_tok_miscount_mode_semantics_are_pinned(ray_session, tmp_path):
         assert normal._quarantine_count(1) == 1
         assert feed(normal) == applied_lsn1, tag
     late = build(
-        "late", write_mode="delta", exchange="hash", late_materialization=True
+        "late", write_mode="delta", late_materialization=True
     )
     assert late.snapshot_dataset(columns=["doc_id"]).count() == 0  # holds prior (none)
     assert late._quarantine_count(1) == 1

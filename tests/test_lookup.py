@@ -12,6 +12,8 @@ from tartare_ray.gen import GenConfig, generate_log
 from tartare_ray.oracle import replay_oracle
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _oracle_rows(files, ids, cols):
     t = replay_oracle(files)
@@ -28,7 +30,7 @@ def test_lookup_matches_oracle_across_modes(ray_session, tmp_path):
     log = os.path.dirname(res.files[0])
     for name, cfg in (
         ("delta", EngineConfig(num_partitions=4, write_mode="delta", epoch_max_files=2)),
-        ("hash", EngineConfig(num_partitions=4, write_mode="delta", exchange="hash",
+        ("late", EngineConfig(num_partitions=4, write_mode="delta",
                               epoch_max_files=2, late_materialization=True)),
         ("cow", EngineConfig(num_partitions=4, epoch_max_files=2)),
     ):
@@ -98,11 +100,11 @@ def test_lookup_cli(ray_session, tmp_path):
     eng = CdcEngine(log, table, EngineConfig(num_partitions=4))
     eng.replay()
     doc = eng.snapshot_table()["doc_id"].to_pylist()[0]
-    env = dict(os.environ, PYTHONPATH="/root/repo", RAY_ADDRESS="local")
+    env = dict(os.environ, PYTHONPATH=REPO, RAY_ADDRESS="local")
     r = subprocess.run(
         [sys.executable, "-m", "tartare_ray", "lookup", "--table-root", table,
          "--doc-id", doc, "--doc-id", "no-such-doc", "--columns", "n_tok"],
-        capture_output=True, text=True, timeout=300, env=env, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, env=env, cwd=REPO,
     )
     assert r.returncode == 0, r.stderr[-1500:]
     rows = json.loads(r.stdout.strip().splitlines()[-1])["rows"]

@@ -63,16 +63,16 @@ def _write_log(events, log_dir):
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=list(HealthCheck))
-@given(event_logs(), st.sampled_from([None, 2]), st.booleans())
+@given(event_logs(), st.sampled_from(["cow", "delta"]), st.booleans())
 @pytest.mark.slow
-def test_engine_equals_sequential_fold(ray_session, tmp_path_factory, events, salts, late):
+def test_engine_equals_sequential_fold(ray_session, tmp_path_factory, events, mode, late):
     base = str(tmp_path_factory.mktemp("prop"))
     files = _write_log(events, os.path.join(base, "log"))
     expected = replay_oracle(files)
     eng = CdcEngine(
         os.path.join(base, "log"),
         os.path.join(base, "table"),
-        EngineConfig(num_partitions=3, epoch_max_files=1, hot_key_salts=salts,
+        EngineConfig(num_partitions=3, epoch_max_files=1, write_mode=mode,
                      late_materialization=late, late_mat_max_ratio=1.01),
     )
     eng.replay()

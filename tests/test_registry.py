@@ -3,8 +3,12 @@
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import pyarrow.compute as pc
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_registry_pipeline_order(ray_session):
@@ -68,12 +72,12 @@ def test_cli_pipeline_runs_named_chain(tmp_path, ray_session):
     cfg_path = tmp_path / "pipe.json"
     cfg_path.write_text(json.dumps(cfg))
     out_dir = str(tmp_path / "out")
-    env = dict(os.environ, PYTHONPATH="/root/repo", RAY_ADDRESS="local")
+    env = dict(os.environ, PYTHONPATH=REPO, RAY_ADDRESS="local")
     r = subprocess.run(
         [sys.executable, "-m", "tartare_ray", "pipeline",
          "--input", "/root/testdata/sf0.001/documents.parquet",
          "--output", out_dir, "--config", str(cfg_path)],
-        capture_output=True, text=True, timeout=300, env=env, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, env=env, cwd=REPO,
     )
     assert r.returncode == 0, r.stderr[-1500:]
     out = json.loads(r.stdout.strip().splitlines()[-1])

@@ -19,6 +19,8 @@ from tartare_ray.gen import GenConfig, generate_log
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
 from tartare_ray.state.manifest import load_current
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _setup(tmp_path, **cfg):
     res = generate_log(
@@ -99,13 +101,13 @@ def test_repartition_cli(ray_session, tmp_path):
     import sys
 
     res, log, eng = _setup(tmp_path)
-    env = dict(os.environ, PYTHONPATH="/root/repo", RAY_ADDRESS="local")
+    env = dict(os.environ, PYTHONPATH=REPO, RAY_ADDRESS="local")
     r = subprocess.run(
         [
             sys.executable, "-m", "tartare_ray", "repartition",
             "--table-root", eng.table_root, "--num-partitions", "2",
         ],
-        capture_output=True, text=True, timeout=300, env=env, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, env=env, cwd=REPO,
     )
     assert r.returncode == 0, r.stderr[-1500:]
     out = json.loads(r.stdout.strip().splitlines()[-1])

@@ -1,5 +1,5 @@
-"""Salted pre-reduce under extreme hot-key skew, snapshot publication,
-epoch GC, hot-key detection, CSV source, CLI smoke."""
+"""Extreme hot-key skew on the exchange-free write path, one-CPU Ray
+sessions, snapshot publication, epoch GC, CSV source, CLI smoke."""
 
 from __future__ import annotations
 
@@ -15,15 +15,15 @@ import pytest
 
 from tartare_ray.oracle import replay_oracle
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
-from tartare_ray.sources.sample import detect_hot_keys
-from tartare_ray.sources.tail import list_log_files
-from tartare_ray.state.manifest import gc_epochs, load_current
+from tartare_ray.state.manifest import gc_epochs, load_current, load_epoch
 from tartare_ray.state.publish import publish_environments, publish_snapshot
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _hot_key_log(log_dir: str, n_events: int = 6000, hot_share: float = 0.5) -> list[str]:
     """A change log where ONE doc_id receives ``hot_share`` of all
-    events — the adversarial case the salted pre-reduce exists for."""
+    events — the adversarial case for any one task holding a key."""
     os.makedirs(log_dir, exist_ok=True)
     rng = np.random.default_rng(11)
     files = []
@@ -62,31 +62,99 @@ def hot_log(tmp_path):
     return _hot_key_log(d), d, tmp_path
 
 
-def test_detect_hot_keys_recommends_salting(hot_log):
-    files, log_dir, _ = hot_log
-    rep = detect_hot_keys(list_log_files(log_dir), num_partitions=8)
-    assert rep.top_key == "doc-HOT"
-    assert rep.top_share > 0.4
-    assert rep.recommended_salts and rep.recommended_salts >= 2
+def _feed_oracle(files: list[str], lo: int, hi: int) -> list[tuple]:
+    """(doc_id, lsn, op) of the latest event per doc_id with
+    lo < lsn <= hi — one epoch's change feed, tombstones kept."""
+    latest: dict[str, tuple] = {}
+    for f in files:
+        t = pq.read_table(f, columns=["lsn", "op", "doc_id"])
+        for lsn, op, did in zip(*(t[c].to_pylist() for c in ("lsn", "op", "doc_id"))):
+            if lo < lsn <= hi and (did not in latest or latest[did][0] < lsn):
+                latest[did] = (lsn, op)
+    return sorted((d, lsn, op) for d, (lsn, op) in latest.items())
 
 
-def test_detect_hot_keys_uniform_no_salting(tmp_log):
-    res, cfg, tmp_path = tmp_log
-    rep = detect_hot_keys(list_log_files(os.path.dirname(res.files[0])), num_partitions=8)
-    assert rep.recommended_salts is None  # zipf 1.1 over 400 docs isn't hot enough
-
-
-def test_salted_replay_matches_oracle(hot_log, ray_session):
+@pytest.mark.parametrize("mode", ["cow", "delta"])
+def test_hot_key_replay_matches_oracle(hot_log, ray_session, mode):
+    """One doc_id carries half of every epoch's events.  Each block
+    reduces only its own rows before it writes, so every split file
+    holds at most one row per doc_id and the hot key reaches its
+    partition's fold as one row from each of several blocks — no task
+    ever holds the hot key's whole epoch.  The snapshot and every
+    epoch's change feed equal the oracle."""
     files, log_dir, tmp_path = hot_log
+    splits: dict[int, list[list[str]]] = {}
+
+    class SplitWatch(CdcEngine):
+        def _commit(self, m):
+            # the split files live until the commit; read them first
+            data = os.path.join(self.table_root, "data")
+            splits[m.epoch] = [
+                pq.read_table(os.path.join(data, n), columns=["doc_id"])["doc_id"].to_pylist()
+                for n in sorted(os.listdir(data))
+                if f"-e{m.epoch:06d}-s" in n
+            ]
+            super()._commit(m)
+
+    root = str(tmp_path / f"table-{mode}")
+    eng = SplitWatch(
+        log_dir, root, EngineConfig(num_partitions=8, write_mode=mode, epoch_max_files=1)
+    )
+    m = eng.replay()
+    assert m.epoch == 3
     expected = replay_oracle(files)
-    for salts in (None, 4):
-        root = str(tmp_path / f"table-{salts}")
-        eng = CdcEngine(log_dir, root, EngineConfig(num_partitions=8, hot_key_salts=salts))
-        eng.replay()
-        actual = eng.snapshot_table()
-        assert len(actual) == len(expected), salts
-        for col in actual.schema.names:
-            assert actual[col].to_pylist() == expected[col].to_pylist(), (salts, col)
+    actual = eng.snapshot_table()
+    assert len(actual) == len(expected)
+    for col in actual.schema.names:
+        assert actual[col].to_pylist() == expected[col].to_pylist(), col
+    for e in range(1, m.epoch + 1):
+        me = load_epoch(root, e)
+        feed = sorted(
+            (r["doc_id"], r["lsn"], r["op"]) for r in eng.changes_dataset(e).take_all()
+        )
+        assert feed == _feed_oracle(files, me.parent_watermark_lsn, me.watermark_lsn), e
+        assert splits[e]
+        for ids in splits[e]:
+            assert len(ids) == len(set(ids))
+        assert sum("doc-HOT" in ids for ids in splits[e]) >= 2, e
+
+
+def test_one_cpu_session_replays(tmp_path):
+    """The write path runs plain tasks only (no actor pool), so a Ray
+    session of ONE CPU replays cow and delta + late-materialization
+    tables to the oracle instead of deadlocking."""
+    script = """
+import os, sys
+import ray
+ray.init(address="local", num_cpus=1, object_store_memory=200 << 20,
+         include_dashboard=False, logging_level="ERROR")
+from tartare_ray.gen import GenConfig, generate_log
+from tartare_ray.oracle import replay_oracle
+from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
+base = sys.argv[1]
+res = generate_log(os.path.join(base, "log"),
+                   GenConfig(n_events=3000, n_docs=300, events_per_file=1000))
+want = replay_oracle(res.files)
+for name, cfg in (
+    ("cow", EngineConfig(num_partitions=4, epoch_max_files=1)),
+    ("delta", EngineConfig(num_partitions=4, epoch_max_files=1, write_mode="delta",
+                           late_materialization=True, late_mat_max_ratio=1.01)),
+):
+    eng = CdcEngine(os.path.dirname(res.files[0]), os.path.join(base, name), cfg)
+    assert eng.replay().epoch == 3, name
+    got = eng.snapshot_table()
+    for col in want.schema.names:
+        assert got[col].to_pylist() == want[col].to_pylist(), (name, col)
+ray.shutdown()
+print("ok")
+"""
+    r = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=REPO), cwd=REPO,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert r.stdout.strip().splitlines()[-1] == "ok"
 
 
 def test_publish_atomic_and_idempotent(hot_log, ray_session, tmp_path):
@@ -159,13 +227,13 @@ def test_csv_source_roundtrip(tmp_path, ray_session):
 
 
 @pytest.mark.slow
-def test_cli_gen_detect_replay_publish(tmp_path):
-    env = dict(os.environ, PYTHONPATH="/root/repo", RAY_ADDRESS="local")
+def test_cli_gen_replay_publish(tmp_path):
+    env = dict(os.environ, PYTHONPATH=REPO, RAY_ADDRESS="local")
 
     def cli(*args):
         r = subprocess.run(
             [sys.executable, "-m", "tartare_ray", *args],
-            capture_output=True, text=True, timeout=300, env=env, cwd="/root/repo",
+            capture_output=True, text=True, timeout=300, env=env, cwd=REPO,
         )
         assert r.returncode == 0, r.stderr[-1500:]
         return json.loads(r.stdout.strip().splitlines()[-1])
@@ -174,8 +242,6 @@ def test_cli_gen_detect_replay_publish(tmp_path):
     table = str(tmp_path / "table")
     out = cli("gen", "--log-dir", log, "--n-events", "3000")
     assert out["n_events"] == 3000
-    rep = cli("detect-hot-keys", "--log-dir", log, "--num-partitions", "8")
-    assert rep["sampled_rows"] > 0
     out = cli("replay", "--log-dir", log, "--table-root", table, "--num-partitions", "4")
     assert out["status"] == "committed"
     dest = str(tmp_path / "prod")
@@ -190,7 +256,7 @@ def test_cli_gen_detect_replay_publish(tmp_path):
     assert out["files"] == {"base": out["partitions"]}
     # straggler + phase walls from the last epoch's metrics (§8.6)
     assert out["last_epoch_straggler"]["apply_tasks"] >= 1
-    assert out["last_epoch_phases"]["exchange_apply_s"] > 0
+    assert out["last_epoch_phases"]["split_s"] > 0
 
 
 @pytest.mark.slow
@@ -211,14 +277,14 @@ def test_cli_tail_follows_appends(tmp_path, ray_session):
     os.makedirs(log)
     shutil.copy(res.files[0], log)
 
-    env = dict(os.environ, PYTHONPATH="/root/repo", RAY_ADDRESS="local")
+    env = dict(os.environ, PYTHONPATH=REPO, RAY_ADDRESS="local")
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "tartare_ray", "tail",
             "--log-dir", log, "--table-root", table,
             "--num-partitions", "4", "--poll-interval", "0.5", "--max-polls", "4",
         ],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd="/root/repo",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=REPO,
     )
     try:
         line1 = json.loads(proc.stdout.readline())
@@ -235,24 +301,6 @@ def test_cli_tail_follows_appends(tmp_path, ray_session):
     from tests.test_cdc_engine import assert_tables_equal
 
     assert_tables_equal(eng.snapshot_table(), replay_oracle(res.files))
-
-
-def test_auto_salt_enables_on_hot_log(hot_log, ray_session):
-    """auto_salt samples each epoch's files and enables the salted
-    pre-reduce exactly when a key exceeds fair share — result equal to
-    the oracle either way."""
-    files, log_dir, tmp_path = hot_log
-    eng = CdcEngine(
-        log_dir,
-        str(tmp_path / "t-autosalt"),
-        EngineConfig(num_partitions=8, auto_salt=True),
-    )
-    eng.replay()
-    exp = replay_oracle(files)
-    snap = eng.snapshot_table()
-    assert snap["doc_id"].to_pylist() == exp["doc_id"].to_pylist()
-    for c in exp.schema.names:
-        assert snap[c].to_pylist() == exp[c].to_pylist(), c
 
 
 def test_unknown_extra_columns_become_evolution(ray_session, tmp_path):

@@ -131,7 +131,6 @@ def run_level(n_events: int, n_docs: int, cpus: int) -> None:
         EngineConfig(
             num_partitions=64,
             write_mode="delta",
-            exchange="hash",
             late_materialization=True,
         ),
     )

@@ -81,7 +81,6 @@ def run_level(n_events: int, cpus: int) -> None:
         EngineConfig(
             num_partitions=32,
             write_mode="delta",
-            exchange="hash",
             late_materialization=True,
         ),
     )

@@ -84,7 +84,7 @@ def main() -> None:
             "--log-dir", live, "--table-root", table,
             "--num-partitions", "32", "--write-mode", "delta",
             "--epoch-max-events", str(args.events_per_file),
-            "--exchange", "hash", "--late-materialization",
+            "--late-materialization",
             "--poll-interval", "0.5", "--max-polls", "12",
             "--gc-every", str(args.gc_every),
             "--gc-keep-last", str(args.gc_keep_last),

@@ -109,7 +109,7 @@ def main() -> None:
             sys.executable, "-m", "tartare_ray", "tail",
             "--log-dir", live, "--table-root", table,
             "--num-partitions", "64", "--write-mode", "delta",
-            "--exchange", "hash", "--late-materialization",
+            "--late-materialization",
             "--poll-interval", str(args.poll_interval),
             "--max-polls", "8",
             "--gc-every", str(args.gc_every),
