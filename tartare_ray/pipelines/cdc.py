@@ -53,8 +53,8 @@ from ..state.manifest import (
     list_committed_epochs,
     load_current,
     load_epoch,
-    load_generation,
 )
+from ..state.late import quarantine_late
 from ..stages.apply import MergeApplier, SplitApplier
 from ..stages.validate import ValidatePartitionStage
 
@@ -66,6 +66,13 @@ class SchemaConflictError(ValueError):
     committed, so fixing or removing the file resumes the tail."""
 
 
+# Late materialization's adaptive fallback: when the envelope pass finds
+# more winners than this share of the epoch's events (low duplication),
+# a second full read saves no bytes and the epoch takes the single-pass
+# path instead.
+LATE_MAT_MAX_RATIO = 0.7
+
+
 @dataclass
 class EngineConfig:
     num_partitions: int = 32
@@ -73,19 +80,12 @@ class EngineConfig:
     # in one epoch (pure replay). At 100 TB an epoch is sized so
     # (base partition + epoch events) fits an applier's heap:
     # P ≈ table_bytes / 512 MB, epoch_max_events ≈ P × a few M rows.
+    # Every epoch is also capped at store/5 of footer bytes
+    # (``CdcEngine._epoch_max_bytes``).
     epoch_max_files: int | None = None
     epoch_max_events: int | None = None
-    # Footer-bytes epoch bound. None -> auto: store/5 of FOOTER bytes.
-    # Footer total_byte_size is the ENCODED (dict/RLE, pre-compression)
-    # size — measured ~3.5× smaller than the decoded in-memory Arrow
-    # for this token-heavy schema.  No task holds more than one block
-    # (the write path has no exchange), so the bound only caps how much
-    # the epoch's blocks hold in the object store at once and how much
-    # work one commit barrier waits on.
-    epoch_max_bytes: int | None = None
     drop_columns: tuple[str, ...] = ()
     validate_batch_size: int | None = None  # None -> Ray default (whole blocks)
-    compression: str = "zstd"
     # Every epoch writes each touched partition's winners file (the
     # epoch's change feed).  "cow": also fold the partition into a
     # fresh base every epoch (simple reads).  "delta": LSM — the
@@ -106,28 +106,28 @@ class EngineConfig:
     # Late materialization: a column-pruned envelope pass (lsn/op/doc_id
     # only) determines the winning LSN set first; the full read then
     # filters to winners in the validate stage, so the split writers
-    # see ~winners/events of the payload bytes.  Adaptive: when the
-    # winner ratio exceeds ``late_mat_max_ratio`` (low duplication, no
-    # bytes to save), the epoch falls back to the single-pass path.
-    # Winner set memory = 8 B × winners, shipped once per node
-    # (ray.put) — bounded because epochs are bounded.
+    # see ~winners/events of the payload bytes (adaptive: see
+    # LATE_MAT_MAX_RATIO).  Winner set memory = 8 B × winners, shipped
+    # once per node (ray.put) — bounded because epochs are bounded.
+    # It earns its keep: perfbench bulk_replay (a 2-CPU Ray session on
+    # a 4-vCPU host, alternating pairs) ran 112k rows/s with it against
+    # 98k without, faster in 8 of 8 pairs.
+    #
+    # With it on, epochs are pipelined: while epoch E's write executes,
+    # a background thread already runs epoch E+1's envelope scan (E+1's
+    # file set and watermark are deterministic from E's plan), under
+    # one Ray CPU budget.  On a prefetch miss (tail mode grew the file
+    # set, crash changed the watermark, thread error) the epoch
+    # recomputes inline.  The overlap pays: on the same bench,
+    # bulk_replay ran 115k rows/s (150k replay events/s) with it
+    # against 106k (136k) without, faster in 5 of 6 pairs.
     late_materialization: bool = False
-    late_mat_max_ratio: float = 0.7
-    # Epoch pipelining: while epoch E's write executes, a background
-    # thread already runs epoch E+1's envelope scan (the next epoch's
-    # file set and watermark are deterministic from E's plan, so the
-    # winner set can be computed early); Ray schedules both under one
-    # CPU budget.  On a prefetch miss (tail mode grew the file set,
-    # crash changed the watermark, thread error) the epoch recomputes
-    # inline — the prefetch is purely an overlap optimization.
-    prefetch_envelope: bool = True
     # Ingest transform chain (tartare's contributor preprocesses, run
     # during export): registered step names applied to the validated
     # change stream BEFORE the write, in declared order.
     # Each entry: ("step_name", {kwargs}).  Steps see change-event
     # batches (envelope + payload) and must preserve the envelope.
     ingest_steps: tuple = ()
-    initial_schema: pa.Schema = BASE_SCHEMA
 
 
 class CdcEngine:
@@ -148,6 +148,7 @@ class CdcEngine:
         # into other engines built from the same EngineConfig object
         self.cfg = replace(cfg) if cfg is not None else EngineConfig()
         self._prefetch = None  # epoch-pipelined envelope (box dict)
+        self._consumed_cache: dict | None = {}  # state/late.py::consumed_files
 
     # -- schema planning (driver-side, metadata only) ----------------------
     def _epoch_schemas(
@@ -156,7 +157,7 @@ class CdcEngine:
         """(snapshot_schema, change_schema) for this epoch: the monotone
         widening union of the parent snapshot schema and every epoch
         file's payload schema (null-retained drop policy, schema.py)."""
-        parent = cur.schema if cur is not None else self.cfg.initial_schema
+        parent = cur.schema if cur is not None else BASE_SCHEMA
         payloads = [payload_schema(read_log_schema(f.path)) for f in files]
         snap = unify_with_widening([parent, *payloads])
         if self.cfg.drop_columns:
@@ -201,7 +202,7 @@ class CdcEngine:
             per_doc = pa.concat_tables(partials).group_by("doc_id").aggregate([("lsn", "max")])
             lsns = np.sort(per_doc["lsn_max"].to_numpy())
         total = sum(f.num_rows for f in chosen)
-        if total == 0 or len(lsns) / total > self.cfg.late_mat_max_ratio:
+        if total == 0 or len(lsns) / total > LATE_MAT_MAX_RATIO:
             return None  # low duplication: a second full read buys nothing
         return ray.put(lsns)
 
@@ -273,16 +274,18 @@ class CdcEngine:
         with WriterLock(self.table_root):
             return self._run_epoch_locked()
 
-    def _epoch_max_bytes(self) -> int | None:
-        max_bytes = self.cfg.epoch_max_bytes
-        if max_bytes is None:
-            # store/5 of footer bytes: blocks stream through the
-            # per-block writers, so the epoch never needs to be resident
-            # at once (1.88M vs 1.42M ev/s for store/20 at 24M events,
-            # measured when this bound served the hash exchange)
-            store = ray.cluster_resources().get("object_store_memory")
-            max_bytes = int(store // 5) if store else None
-        return max_bytes
+    @staticmethod
+    def _epoch_max_bytes() -> int | None:
+        """Epoch cap: store/5 of FOOTER bytes.  Footer total_byte_size
+        is the ENCODED (dict/RLE, pre-compression) size — measured ~3.5×
+        smaller than the decoded in-memory Arrow for this token-heavy
+        schema.  No task holds more than one block (the write path has
+        no exchange), so the cap only bounds how much the epoch's blocks
+        hold in the object store at once and how much work one commit
+        barrier waits on (1.88M vs 1.42M ev/s for store/20 at 24M
+        events, measured when this bound served the hash exchange)."""
+        store = ray.cluster_resources().get("object_store_memory")
+        return int(store // 5) if store else None
 
     def _run_epoch_locked(self) -> Manifest | None:
         t0 = time.perf_counter()
@@ -301,7 +304,8 @@ class CdcEngine:
         # out-of-order tail hardening: a never-consumed file wholly
         # at/below the watermark is a violating producer — dead-letter
         # it (with metrics) instead of silently skipping its events
-        self._late_moved_this_run = self._quarantine_late(watermark)
+        late = quarantine_late(self.table_root, self.log_dir, watermark, self._consumed_cache)
+        self._late_moved_this_run = sum(late.values())
         pending = pending_files(self.log_dir, watermark)
         max_bytes = self._epoch_max_bytes()
         chosen = plan_epoch(
@@ -319,7 +323,7 @@ class CdcEngine:
         # until the file is fixed or removed).  Truncation also drops
         # kept files whose LSN range straddles the poison file's start
         # so the committed watermark never jumps over unapplied events.
-        acc = cur.schema if cur is not None else self.cfg.initial_schema
+        acc = cur.schema if cur is not None else BASE_SCHEMA
         conflict = None
         for i, f in enumerate(chosen):
             try:
@@ -402,11 +406,9 @@ class CdcEngine:
                 winners_ref = self._phase1_winners(chosen, watermark, cpus)
             phases["envelope_s"] = round(time.perf_counter() - tp, 3)
             phases["envelope_prefetched"] = hit
-            if self.cfg.prefetch_envelope:
-                # Epoch pipelining: start epoch E+1's envelope scan on
-                # a background thread NOW — it overlaps this epoch's
-                # write.
-                self._spawn_prefetch(chosen, cpus)
+            # Epoch pipelining: start epoch E+1's envelope scan on a
+            # background thread NOW — it overlaps this epoch's write.
+            self._spawn_prefetch(chosen, cpus)
         return self._run_epoch_pipeline(
             chosen, cur, epoch, watermark, snap_schema, change_schema,
             parent_chain, num_blocks, winners_ref, row_filters, xform_steps,
@@ -476,7 +478,6 @@ class CdcEngine:
                 table_root=self.table_root,
                 epoch=epoch,
                 snapshot_schema=snap_schema,
-                compression=self.cfg.compression,
             ),
             batch_format="pyarrow",
             batch_size=None,
@@ -510,7 +511,6 @@ class CdcEngine:
                 epoch=epoch,
                 snapshot_schema=snap_schema,
                 parent_chain=parent_chain,
-                compression=self.cfg.compression,
                 mode=self.cfg.write_mode,
                 compact_chain_len=self.cfg.compact_chain_len,
                 compact_delta_ratio=self.cfg.compact_delta_ratio,
@@ -569,7 +569,7 @@ class CdcEngine:
         phases["commit_s"] = round(time.perf_counter() - t_commit, 3)
         metrics = epoch_metrics(m, sorted(touched), time.perf_counter() - t0, phases)
         metrics["quarantined_rows"] = self._quarantine_count(epoch)
-        if getattr(self, "_late_moved_this_run", 0):
+        if self._late_moved_this_run:
             metrics["late_quarantined_files"] = self._late_moved_this_run
         if self._schema_conflict:
             # epoch truncated before a poison file (operability signal)
@@ -687,7 +687,7 @@ class CdcEngine:
         change-event LSN instead (``epoch_for_lsn``)."""
         m = self._manifest_at(self._resolve_epoch(epoch, as_of_lsn))
         if m is None or not m.partitions:
-            empty = (m.schema if m else self.cfg.initial_schema).empty_table()
+            empty = (m.schema if m else BASE_SCHEMA).empty_table()
             return ray.data.from_arrow(
                 empty.select(columns) if columns else empty
             )
@@ -1019,114 +1019,7 @@ class CdcEngine:
             if n.endswith(".parquet")
         )
 
-    # -- out-of-order tail hardening ----------------------------------------
-    def _consumed_files(self) -> tuple[set[str], bool, int]:
-        """(consumed file BASENAMES over retained manifests,
-        detection-complete flag, LSN floor below which late detection
-        stays off).
-
-        Basenames, not full paths: the same table can be reopened with
-        a different ``--log-dir`` spelling (relative vs absolute, a
-        symlink, a remount) and a path-string comparison would then
-        mark every already-applied file unconsumed and quarantine the
-        whole retained log.  Log-file names are unique per protocol
-        (name-ordered ``events-*``), and basename matching errs on the
-        safe side (skip, never false-quarantine).
-
-        Detection is complete only when EVERY retained manifest records
-        ``source_files`` (tables written by older code keep legacy
-        skip-silently behavior).  The floor is the oldest retained
-        manifest's parent watermark: files wholly below it predate the
-        retention window, so applied-vs-late is undecidable there
-        (their manifests are GC'd) — ``gc_log`` reclaims those.
-        Incrementally cached per engine instance, keyed by the epoch
-        listing AND the rollback generation (rollback + replay can
-        recommit the same epoch numbers with different source files)."""
-        epochs = list_committed_epochs(self.table_root)
-        gen = load_generation(self.table_root)
-        key = (epochs[0], epochs[-1], len(epochs), gen) if epochs else None
-        cache = getattr(self, "_consumed_cache", None)
-        if cache is not None and cache[0] == key:
-            return cache[1], cache[2], cache[3]
-        consumed: set[str] = set()
-        complete = True
-        floor = -1
-        for i, e in enumerate(epochs):
-            m = load_epoch(self.table_root, e)
-            if i == 0:
-                pw = m.parent_watermark_lsn
-                floor = -1 if pw is None else int(pw)
-                if pw is None and m.parent_epoch is not None:
-                    complete = False  # pre-field manifest
-            if m.source_files is None:
-                complete = False
-            else:
-                consumed.update(os.path.basename(p) for p in m.source_files)
-        self._consumed_cache = (key, consumed, complete, floor)
-        return consumed, complete, floor
-
-    def _quarantine_late(self, watermark: int) -> int:
-        """A producer file whose LSNs fall ENTIRELY at/below the
-        committed watermark and that no retained epoch consumed is a
-        protocol violation (LSNs must be assigned monotonically at the
-        cut): it can never be applied, and silently skipping it loses
-        its events without a trace.  Move it to
-        ``_quarantine/late/`` and append a metrics line — the
-        watermark itself never regresses (out-of-order events inside a
-        STRADDLING file are handled row-wise by the validate stage's
-        watermark filter, which is redelivery semantics, not loss).
-        Files on remote URIs cannot be moved from here; they still get
-        the metrics line (once) so the violation is never silent."""
-        if watermark < 0:
-            return 0
-        consumed, complete, floor = self._consumed_files()
-        if not complete:
-            return 0
-        moved = 0
-        qdir = os.path.join(self.table_root, "_quarantine", "late")
-        meta = os.path.join(qdir, "_late.jsonl")
-        logged: set[str] = set()
-        if os.path.exists(meta):
-            with open(meta) as fh:
-                for line in fh:
-                    # appends are not atomic: a torn final line from a
-                    # crashed writer must not wedge every future epoch
-                    try:
-                        logged.add(json.loads(line)["file"])
-                    except (ValueError, KeyError):
-                        continue
-
-        def record(f, movable: bool) -> None:
-            os.makedirs(qdir, exist_ok=True)
-            with open(meta, "a") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "file": os.path.basename(f.path),
-                            "min_lsn": int(f.min_lsn),
-                            "max_lsn": int(f.max_lsn),
-                            "watermark": int(watermark),
-                            "rows": int(f.num_rows),
-                            "moved": movable,
-                        }
-                    )
-                    + "\n"
-                )
-
-        for f in list_log_files(self.log_dir):
-            name = os.path.basename(f.path)
-            if not (floor < f.max_lsn <= watermark) or name in consumed:
-                continue
-            if os.path.exists(f.path):
-                os.makedirs(qdir, exist_ok=True)
-                os.replace(f.path, os.path.join(qdir, name))
-                record(f, movable=True)
-                moved += 1
-            elif name not in logged:  # remote URI: metrics-only, once
-                record(f, movable=False)
-                logged.add(name)
-        return moved
-
+    # -- out-of-order tail hardening (state/late.py) -------------------------
     def late_quarantine_stats(self) -> dict:
         """{files, rows} physically dead-lettered as late across the
         table's life, plus ``logged_only`` — remote-URI violations that
@@ -1348,8 +1241,7 @@ class CdcEngine:
                 ray.data.from_items(items)
                 .map_batches(
                     PartitionBackfiller(
-                        self.table_root, cur.schema_b64, epoch, column, fn,
-                        self.cfg.compression,
+                        self.table_root, cur.schema_b64, epoch, column, fn
                     ),
                     batch_format="pyarrow",
                     batch_size=1,
@@ -1426,7 +1318,7 @@ class CdcEngine:
         lineage_rows = (
             ray.data.from_items(items)
             .map_batches(
-                PartitionCompactor(self.table_root, cur.schema_b64, epoch, self.cfg.compression),
+                PartitionCompactor(self.table_root, cur.schema_b64, epoch),
                 batch_format="pyarrow",
                 batch_size=1,
             )
@@ -1498,7 +1390,6 @@ class CdcEngine:
                         table_root=self.table_root,
                         schema_b64=cur.schema_b64,
                         epoch=epoch,
-                        compression=self.cfg.compression,
                     ),
                     batch_format="pyarrow",
                     concurrency=max(1, int(ray.cluster_resources().get("CPU", 4)) // 2),
@@ -1545,7 +1436,7 @@ class CdcEngine:
 
         m = self._manifest_at(self._resolve_epoch(epoch, as_of_lsn))
         if m is None:
-            return self.cfg.initial_schema.empty_table()
+            return BASE_SCHEMA.empty_table()
         tables = []
         for p, chain in sorted(self._chains(m).items()):
             raw = [pq.read_table(f"{self.table_root}/{e['file']}") for e in chain]
@@ -1579,7 +1470,7 @@ class CdcEngine:
         from ..stages.kernels import hash_partition_ids
 
         m = self._manifest_at(self._resolve_epoch(epoch, as_of_lsn))
-        schema = m.schema if m is not None else self.cfg.initial_schema
+        schema = m.schema if m is not None else BASE_SCHEMA
         cols = list(columns) if columns is not None else list(schema.names)
         if "doc_id" not in cols:
             cols = ["doc_id", *cols]

@@ -1,22 +1,31 @@
 """Incrementally-maintained aggregate views over the committed table.
 
 A consumer that wants ``SELECT group, count(*), sum(x)`` of a 100 TB
-snapshot cannot rescan it per epoch.  Count/sum are invertible, so the
-view updates from the per-epoch change feed alone:
+snapshot cannot rescan it per epoch.  The views update from the
+per-epoch change feed alone:
 
     delta(group) = + contribution of each winner's NEW row
                    - contribution of the doc's PREVIOUS state
 
-New contributions come straight from ``changes_dataset(epoch)``.
-Previous state is pulled partition-locally AND delta-directly: feed
-keys are tagged with their hash partition, and one task per TOUCHED
-partition resolves them against that partition's parent chain via
-``lookup_keys_in_chain`` — a newest-first suffix scan reading only
-(doc_id, group, sum) + envelope columns that stops once every key is
-resolved, so hot keys resolve in the newest delta file and the fat
-base is often never opened.  I/O is proportional to touched
-partitions' chain SUFFIXES, never the table.  The delta rows (group,
-dcount, dsum) are tiny and fold into the view on the driver.
+``EpochDeltaView`` runs that one pass for every view.  Feed rows
+(``changes_dataset(epoch)``) are tagged with their hash partition under
+the PARENT manifest's partition count, and one task per TOUCHED
+partition resolves the previous state of its keys against that
+partition's parent chain via ``lookup_keys_in_chain`` — a newest-first
+suffix scan reading only (doc_id, group, value) + envelope columns that
+stops once every key is resolved, so hot keys resolve in the newest
+delta file and the fat base is often never opened.  I/O is
+proportional to touched partitions' chain SUFFIXES, never the table.
+
+Each view supplies two pieces:
+
+- a static per-partition REDUCER (runs on Ray): old live rows of the
+  touched keys + the epoch's new live rows, both as (doc_id, g, v),
+  → a few small rows;
+- a driver-side FOLD of those rows into the view's state.
+
+The Ray callables are module-level functions over plain values, so a
+view never ships itself or its engine to a worker.
 
 Reference analogue `[UNVERIFIED — empty checkout, SURVEY.md §0]`:
 tartare recomputes coverage-level artifacts per export; the view is
@@ -30,24 +39,28 @@ delta is deterministic).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
 import numpy as np
 import pyarrow as pa
-
-import ray.data
+import pyarrow.compute as pc
 
 from ..state.manifest import load_current, load_epoch
 from ..stages.kernels import hash_partition_ids
+
+NULL_GROUP = "\x00null"  # state key of a null group value
+
+
+def _gkey(g) -> str:
+    return NULL_GROUP if g is None else str(g)
 
 
 def _agg_contrib(groups: np.ndarray, sums: np.ndarray, sign: int) -> dict[str, list[float]]:
     # null group values aggregate under their own key (np.unique on an
     # object array mixing None and str raises on comparison)
-    groups = np.array(
-        ["\x00null" if g is None else g for g in groups], dtype=object
-    )
+    groups = np.array([_gkey(g) for g in groups], dtype=object)
     out: dict[str, list[float]] = {}
     for g in np.unique(groups):
         m = groups == g
@@ -55,21 +68,55 @@ def _agg_contrib(groups: np.ndarray, sums: np.ndarray, sign: int) -> dict[str, l
     return out
 
 
-class IncrementalAggView:
-    """count(*) + sum(sum_col) per group_col, maintained per epoch."""
+def _tag_part(b: pa.Table, num_partitions: int) -> pa.Table:
+    return b.append_column("part", pa.array(hash_partition_ids(b["doc_id"], num_partitions)))
 
-    def __init__(self, engine, name: str, group_col: str, sum_col: str):
+
+def _part_delta(
+    g: pa.Table, *, table_root, chains, schema, group_col, val_col, reduce
+) -> pa.Table:
+    """One touched partition's feed rows → ``reduce(old, new)``."""
+    from ..stages.compact import lookup_keys_in_chain
+
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {"doc_id": t["doc_id"], "g": t[group_col], "v": pc.cast(t[val_col], pa.float64())}
+        )
+
+    chain = chains.get(int(g["part"][0].as_py()))
+    old = (
+        lookup_keys_in_chain(
+            table_root, chain, schema, g["doc_id"], ["doc_id", group_col, val_col]
+        )
+        if chain
+        else g.slice(0, 0)
+    )
+    live = g.filter(pc.fill_null(pc.not_equal(g["op"], "D"), True))
+    return reduce(rows(old), rows(live))
+
+
+class EpochDeltaView:
+    """Per-epoch maintenance shared by the incremental views: JSON state
+    per epoch under ``_views/<name>/``, the ``update_to`` loop, and the
+    one change-feed pass per epoch (``_epoch_rows``).  Subclasses set
+    ``_reduce`` (a staticmethod ``(old, new, **kw) -> pa.Table``; ``kw``
+    are the instance attributes named in ``_reduce_kw``) and ``_fold``
+    (driver side: state, rows, epoch → state), plus ``as_table``."""
+
+    _reduce_kw: tuple[str, ...] = ()
+
+    def __init__(self, engine, name: str, group_col: str, val_col: str):
         self.engine = engine
         self.name = name
         self.group_col = group_col
-        self.sum_col = sum_col
+        self.val_col = val_col
         self._dir = os.path.join(engine.table_root, "_views", name)
 
     # -- persistence -------------------------------------------------------
     def _path(self, epoch: int) -> str:
         return os.path.join(self._dir, f"e{epoch:06d}.json")
 
-    def _load_latest(self, up_to: int) -> tuple[int, dict[str, list[float]]]:
+    def _load_latest(self, up_to: int) -> tuple[int, dict]:
         for e in range(up_to, 0, -1):
             if os.path.exists(self._path(e)):
                 with open(self._path(e)) as f:
@@ -85,109 +132,97 @@ class IncrementalAggView:
             os.fsync(f.fileno())
         os.replace(tmp, self._path(epoch))
 
-    # -- one epoch's delta -------------------------------------------------
-    def _epoch_delta(self, epoch: int) -> dict[str, list[float]]:
+    # -- one epoch's delta rows ----------------------------------------------
+    @staticmethod
+    def _reduce(old: pa.Table, new: pa.Table) -> pa.Table:
+        raise NotImplementedError
+
+    def _fold(self, state: dict, rows: list[dict], epoch: int) -> dict:
+        raise NotImplementedError
+
+    def _epoch_rows(self, epoch: int) -> list[dict]:
         eng = self.engine
         m = load_epoch(eng.table_root, epoch)
-        parent_m = (
-            load_epoch(eng.table_root, m.parent_epoch)
-            if m.parent_epoch is not None
-            else m
-        )
-        parent_chains = eng._chains(parent_m) if m.parent_epoch is not None else {}
-        parent_schema = parent_m.schema
+        parent = None if m.parent_epoch is None else load_epoch(eng.table_root, m.parent_epoch)
         # the key→part mapping the PARENT chains were written with —
         # from the manifest, never the reader's config (an engine may
         # have repartitioned the table since this reader was built)
-        P = parent_m.num_partitions or eng.cfg.num_partitions
-        group_col, sum_col = self.group_col, self.sum_col
-        table_root = eng.table_root
-
-        def tag(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "part", pa.array(hash_partition_ids(b["doc_id"], P))
-            )
-
-        def per_part(g: pa.Table) -> pa.Table:
-            from ..stages.compact import lookup_keys_in_chain
-
-            p = int(g["part"][0].as_py())
-            deltas: dict[str, list[float]] = {}
-            # retract previous state of the touched keys — delta-direct:
-            # scan this partition's chain suffix newest-first, reading
-            # ONLY (doc_id, group, sum) + envelope, stopping as soon as
-            # every touched key is resolved (hot keys resolve in the
-            # newest delta; the base file is often never opened)
-            chain = parent_chains.get(p)
-            if chain:
-                hit = lookup_keys_in_chain(
-                    table_root,
-                    chain,
-                    parent_schema,
-                    g["doc_id"].combine_chunks(),
-                    ["doc_id", group_col, sum_col],
-                )
-                if len(hit):
-                    old = _agg_contrib(
-                        hit[group_col].to_numpy(zero_copy_only=False),
-                        hit[sum_col].to_numpy(zero_copy_only=False).astype(np.float64),
-                        -1,
-                    )
-                    for k, (dc, ds) in old.items():
-                        acc = deltas.setdefault(k, [0, 0.0])
-                        acc[0] += dc
-                        acc[1] += ds
-            live = g.filter(
-                pa.compute.fill_null(pa.compute.not_equal(g["op"], "D"), True)
-            )
-            if len(live):
-                new = _agg_contrib(
-                    live[group_col].to_numpy(zero_copy_only=False),
-                    live[sum_col].to_numpy(zero_copy_only=False).astype(np.float64),
-                    +1,
-                )
-                for k, (dc, ds) in new.items():
-                    acc = deltas.setdefault(k, [0, 0.0])
-                    acc[0] += dc
-                    acc[1] += ds
-            return pa.table(
-                {
-                    "g": pa.array(list(deltas), pa.string()),
-                    "dcount": pa.array([v[0] for v in deltas.values()], pa.int64()),
-                    "dsum": pa.array([v[1] for v in deltas.values()], pa.float64()),
-                }
-            )
-
-        feed = eng.changes_dataset(epoch).map_batches(
-            tag, batch_format="pyarrow", zero_copy_batch=True
+        P = (parent.num_partitions if parent else 0) or m.num_partitions
+        per_part = functools.partial(
+            _part_delta,
+            table_root=eng.table_root,
+            chains=eng._chains(parent) if parent else {},
+            schema=(parent or m).schema,
+            group_col=self.group_col,
+            val_col=self.val_col,
+            reduce=functools.partial(
+                type(self)._reduce, **{k: getattr(self, k) for k in self._reduce_kw}
+            ),
         )
-        rows = feed.groupby("part").map_groups(per_part, batch_format="pyarrow").take_all()
-        out: dict[str, list[float]] = {}
-        for r in rows:
-            acc = out.setdefault(r["g"], [0, 0.0])
-            acc[0] += int(r["dcount"])
-            acc[1] += float(r["dsum"])
-        return out
+        return (
+            eng.changes_dataset(epoch)
+            .map_batches(
+                functools.partial(_tag_part, num_partitions=P),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
+            .groupby("part")
+            .map_groups(per_part, batch_format="pyarrow")
+            .take_all()
+        )
 
     # -- public ------------------------------------------------------------
-    def update_to(self, epoch: int | None = None) -> dict[str, list[float]]:
+    def update_to(self, epoch: int | None = None) -> dict:
         """Fold epoch deltas into the persisted view up to ``epoch``
-        (default: CURRENT); returns the view state
-        ``{group: [count, sum]}``."""
+        (default: CURRENT); returns the view state."""
         cur = load_current(self.engine.table_root)
         if cur is None and epoch is None:
             return {}  # nothing committed yet: the empty view
         target = cur.epoch if epoch is None else epoch
         have, state = self._load_latest(target)
         for e in range(have + 1, target + 1):
-            delta = self._epoch_delta(e)
-            for k, (dc, ds) in delta.items():
-                acc = state.setdefault(k, [0, 0.0])
-                acc[0] += dc
-                acc[1] += ds
-            state = {k: v for k, v in state.items() if v[0] != 0}
+            state = self._fold(state, self._epoch_rows(e), e)
             self._persist(e, state)
         return state
+
+
+class IncrementalAggView(EpochDeltaView):
+    """count(*) + sum(sum_col) per group_col, maintained per epoch.
+    Count/sum are invertible: each partition reduces to (g, dcount,
+    dsum) rows; state is ``{group: [count, sum]}``."""
+
+    def __init__(self, engine, name: str, group_col: str, sum_col: str):
+        super().__init__(engine, name, group_col, sum_col)
+        self.sum_col = sum_col
+
+    @staticmethod
+    def _reduce(old: pa.Table, new: pa.Table) -> pa.Table:
+        deltas: dict[str, list[float]] = {}
+        for t, sign in ((old, -1), (new, +1)):
+            if len(t):
+                contrib = _agg_contrib(
+                    t["g"].to_numpy(zero_copy_only=False),
+                    t["v"].to_numpy(zero_copy_only=False),
+                    sign,
+                )
+                for k, (dc, ds) in contrib.items():
+                    acc = deltas.setdefault(k, [0, 0.0])
+                    acc[0] += dc
+                    acc[1] += ds
+        return pa.table(
+            {
+                "g": pa.array(list(deltas), pa.string()),
+                "dcount": pa.array([v[0] for v in deltas.values()], pa.int64()),
+                "dsum": pa.array([v[1] for v in deltas.values()], pa.float64()),
+            }
+        )
+
+    def _fold(self, state: dict, rows: list[dict], epoch: int) -> dict:
+        for r in rows:
+            acc = state.setdefault(r["g"], [0, 0.0])
+            acc[0] += int(r["dcount"])
+            acc[1] += float(r["dsum"])
+        return {k: v for k, v in state.items() if v[0] != 0}
 
     def as_table(self, epoch: int | None = None) -> pa.Table:
         state = self.update_to(epoch)
@@ -201,7 +236,7 @@ class IncrementalAggView:
         )
 
 
-class IncrementalMinMaxView:
+class IncrementalMinMaxView(EpochDeltaView):
     """min(val_col) (or max) per group_col, maintained per epoch.
 
     MIN/MAX are NOT invertible — retracting the current minimum cannot
@@ -214,111 +249,56 @@ class IncrementalMinMaxView:
     (anything untracked is >= bound); when retractions break that — or
     empty an incomplete buffer — the group joins the RARE rescan path:
     one two-column pruned snapshot pass at that epoch rebuilds every
-    exhausted group's buffer in a single batch.  Otherwise per-epoch
-    cost matches the count/sum view: touched keys' previous state via
-    partition-local delta-direct chain-suffix lookups, O(epoch
-    winners) doc-level delta rows to the driver, crash-safe JSON state
-    per epoch (same ``_views/`` layout ⇒ same GC retention pin).
+    exhausted group's buffer in a single batch.  Otherwise each
+    partition returns its doc-level rows — every touched doc's old row
+    (retract) and new live row (insert) — to the driver.
 
     ``mode="max"`` negates values internally (max = -min(-x))."""
 
     def __init__(self, engine, name, group_col, val_col, mode="min", buffer_n=8):
         assert mode in ("min", "max")
-        self.engine = engine
-        self.name = name
-        self.group_col = group_col
-        self.val_col = val_col
+        super().__init__(engine, name, group_col, val_col)
         self.mode = mode
         self.buffer_n = buffer_n
-        self._dir = os.path.join(engine.table_root, "_views", name)
-
-    _path = IncrementalAggView._path
-    _load_latest = IncrementalAggView._load_latest
-    _persist = IncrementalAggView._persist
 
     def _sign(self) -> float:
         return 1.0 if self.mode == "min" else -1.0
 
-    # -- one epoch's doc-level delta rows ------------------------------------
-    def _epoch_rows(self, epoch: int) -> list[dict]:
-        eng = self.engine
-        m = load_epoch(eng.table_root, epoch)
-        parent_m = (
-            load_epoch(eng.table_root, m.parent_epoch)
-            if m.parent_epoch is not None
-            else m
+    @staticmethod
+    def _reduce(old: pa.Table, new: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            [
+                old.append_column("new", pa.array(np.zeros(len(old), bool))),
+                new.append_column("new", pa.array(np.ones(len(new), bool))),
+            ],
+            promote_options="permissive",
         )
-        parent_chains = eng._chains(parent_m) if m.parent_epoch is not None else {}
-        parent_schema = parent_m.schema
-        P = parent_m.num_partitions or eng.cfg.num_partitions
-        group_col, val_col = self.group_col, self.val_col
-        table_root = eng.table_root
 
-        def tag(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "part", pa.array(hash_partition_ids(b["doc_id"], P))
-            )
-
-        def per_part(g: pa.Table) -> pa.Table:
-            from ..stages.compact import lookup_keys_in_chain
-
-            p = int(g["part"][0].as_py())
-            ids = g["doc_id"].combine_chunks()
-            og = pa.nulls(len(g), pa.string())
-            ov = pa.nulls(len(g), pa.float64())
-            chain = parent_chains.get(p)
-            if chain:
-                hit = lookup_keys_in_chain(
-                    table_root, chain, parent_schema, ids,
-                    ["doc_id", group_col, val_col],
-                )
-                if len(hit):
-                    pos = {d: i for i, d in enumerate(hit["doc_id"].to_pylist())}
-                    hg = hit[group_col].to_pylist()
-                    hv = hit[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
-                    og = pa.array(
-                        [hg[pos[d]] if d in pos else None for d in ids.to_pylist()],
-                        pa.string(),
-                    )
-                    ov = pa.array(
-                        [float(hv[pos[d]]) if d in pos else None for d in ids.to_pylist()],
-                        pa.float64(),
-                    )
-            live = pa.compute.fill_null(pa.compute.not_equal(g["op"], "D"), True)
-            return pa.table(
-                {
-                    "doc_id": ids,
-                    "had_old": pa.array(
-                        pa.compute.is_valid(og).to_numpy(zero_copy_only=False)
-                    ),
-                    "old_g": og,
-                    "old_v": ov,
-                    "is_live": pa.array(live.to_numpy(zero_copy_only=False)),
-                    "new_g": g[group_col],
-                    "new_v": pa.compute.cast(g[val_col], pa.float64()),
-                }
-            )
-
-        feed = eng.changes_dataset(epoch).map_batches(
-            tag, batch_format="pyarrow", zero_copy_batch=True
-        )
-        return (
-            feed.groupby("part").map_groups(per_part, batch_format="pyarrow").take_all()
-        )
+    def _fold(self, state: dict, rows: list[dict], epoch: int) -> dict:
+        sign = self._sign()
+        for r in rows:  # retract every touched doc's previous state
+            if not r["new"]:
+                self._retract(state, r["g"], r["doc_id"])
+        for r in rows:  # fold the live winners back in
+            if r["new"] and r["v"] is not None:
+                self._insert(state, r["g"], r["doc_id"], sign * r["v"])
+        # groups whose buffered minimum is no longer provably correct
+        # (emptied, or min above the discard bound), plus
+        # complete-and-empty groups that simply vanish
+        state = {k: ent for k, ent in state.items() if ent["buf"] or not ent["complete"]}
+        stale = [k for k, ent in state.items() if self._needs_rescan(ent)]
+        if stale:
+            self._rescan(state, stale, epoch)
+        return state
 
     # -- buffer algebra -------------------------------------------------------
-    @staticmethod
-    def _gkey(g) -> str:
-        return "\x00null" if g is None else str(g)
-
     def _retract(self, state: dict, g, doc: str) -> None:
-        ent = state.get(self._gkey(g))
+        ent = state.get(_gkey(g))
         if ent:
             ent["buf"] = [e for e in ent["buf"] if e[1] != doc]
 
     def _insert(self, state: dict, g, doc: str, v: float) -> None:
-        k = self._gkey(g)
-        ent = state.setdefault(k, {"buf": [], "complete": True, "bound": None})
+        ent = state.setdefault(_gkey(g), {"buf": [], "complete": True, "bound": None})
         buf = [e for e in ent["buf"] if e[1] != doc]
         buf.append([v, doc])
         buf.sort(key=lambda e: (e[0], e[1]))
@@ -346,10 +326,7 @@ class IncrementalMinMaxView:
         group_col, val_col, N = self.group_col, self.val_col, self.buffer_n
 
         def local_topn(b: pa.Table) -> pa.Table:
-            gs = b[group_col].to_pylist()
-            keys = np.array(
-                ["\x00null" if g is None else str(g) for g in gs], dtype=object
-            )
+            keys = np.array([_gkey(g) for g in b[group_col].to_pylist()], dtype=object)
             m = np.isin(keys, want)
             empty = pa.table(
                 {
@@ -398,36 +375,6 @@ class IncrementalMinMaxView:
                     "bound": None,
                 }
 
-    # -- public -----------------------------------------------------------------
-    def update_to(self, epoch: int | None = None) -> dict:
-        """Fold epoch deltas into the persisted view up to ``epoch``
-        (default: CURRENT); returns ``{group: entry}`` state."""
-        cur = load_current(self.engine.table_root)
-        if cur is None and epoch is None:
-            return {}
-        target = cur.epoch if epoch is None else epoch
-        have, state = self._load_latest(target)
-        sign = self._sign()
-        for e in range(have + 1, target + 1):
-            rows = self._epoch_rows(e)
-            for r in rows:  # retract every touched doc's previous state
-                if r["had_old"]:
-                    self._retract(state, r["old_g"], r["doc_id"])
-            for r in rows:  # fold the live winners back in
-                if r["is_live"] and r["new_v"] is not None:
-                    self._insert(state, r["new_g"], r["doc_id"], sign * float(r["new_v"]))
-            # groups whose buffered minimum is no longer provably
-            # correct (emptied, or min above the discard bound), plus
-            # complete-and-empty groups that simply vanish
-            state = {
-                k: ent for k, ent in state.items() if ent["buf"] or not ent["complete"]
-            }
-            stale = [k for k, ent in state.items() if self._needs_rescan(ent)]
-            if stale:
-                self._rescan(state, stale, e)
-            self._persist(e, state)
-        return state
-
     def as_table(self, epoch: int | None = None) -> pa.Table:
         state = self.update_to(epoch)
         sign = self._sign()
@@ -442,152 +389,52 @@ class IncrementalMinMaxView:
         )
 
 
-class IncrementalQuantileView:
+class IncrementalQuantileView(EpochDeltaView):
     """Approximate per-group quantiles (DDSketch, 1% relative error)
     maintained incrementally from the change feed — unlike MIN/MAX,
     the sketch IS invertible: state is (group, bucket) → count, and a
-    doc's retraction simply decrements its old bucket.  Per-epoch cost
-    is identical to the count/sum view (touched keys' previous state
-    via delta-direct chain-suffix lookups, O(touched groups × buckets)
-    delta rows), with NO rescan path at all.  State JSON per epoch in
-    ``_views/`` (same crash-safety + GC pin)."""
+    doc's retraction simply decrements its old bucket.  Each partition
+    reduces to (g, bucket, dn) rows, with NO rescan path at all."""
+
+    _reduce_kw = ("alpha",)
 
     def __init__(self, engine, name, group_col, val_col, alpha: float = 0.01):
-        self.engine = engine
-        self.name = name
-        self.group_col = group_col
-        self.val_col = val_col
+        super().__init__(engine, name, group_col, val_col)
         self.alpha = alpha
-        self._dir = os.path.join(engine.table_root, "_views", name)
 
-    _path = IncrementalAggView._path
-    _load_latest = IncrementalAggView._load_latest
-    _persist = IncrementalAggView._persist
-
-    def _bucket_contrib(self, groups, vals, sign: int) -> dict:
+    @staticmethod
+    def _reduce(old: pa.Table, new: pa.Table, alpha: float) -> pa.Table:
         from ..stages.sketch import dd_bucket
 
-        groups = np.array(
-            ["\x00null" if g is None else str(g) for g in groups], dtype=object
-        )
-        vals = np.asarray(vals, dtype=np.float64)
-        ok = vals > 0  # DDSketch domain: positive values
-        groups, vals = groups[ok], vals[ok]
-        out: dict = {}
-        if len(vals) == 0:
-            return out
-        bk = dd_bucket(vals, self.alpha)
-        order = np.lexsort((bk, groups))
-        g, b = groups[order], bk[order]
-        new = np.r_[True, (g[1:] != g[:-1]) | (b[1:] != b[:-1])]
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.append(starts, len(g)))
-        for s, c in zip(starts, counts):
-            out.setdefault(str(g[s]), {})[str(int(b[s]))] = sign * int(c)
-        return out
-
-    def _epoch_delta(self, epoch: int) -> dict:
-        eng = self.engine
-        m = load_epoch(eng.table_root, epoch)
-        parent_m = (
-            load_epoch(eng.table_root, m.parent_epoch)
-            if m.parent_epoch is not None
-            else m
-        )
-        parent_chains = eng._chains(parent_m) if m.parent_epoch is not None else {}
-        parent_schema = parent_m.schema
-        P = parent_m.num_partitions or eng.cfg.num_partitions
-        group_col, val_col = self.group_col, self.val_col
-        table_root = eng.table_root
-        contrib = self._bucket_contrib
-
-        def tag(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "part", pa.array(hash_partition_ids(b["doc_id"], P))
-            )
-
-        def per_part(g: pa.Table) -> pa.Table:
-            from ..stages.compact import lookup_keys_in_chain
-
-            p = int(g["part"][0].as_py())
-            deltas: dict = {}
-
-            def fold(d: dict) -> None:
-                for k, bks in d.items():
-                    acc = deltas.setdefault(k, {})
-                    for bk, c in bks.items():
-                        acc[bk] = acc.get(bk, 0) + c
-
-            chain = parent_chains.get(p)
-            if chain:
-                hit = lookup_keys_in_chain(
-                    table_root, chain, parent_schema,
-                    g["doc_id"].combine_chunks(),
-                    ["doc_id", group_col, val_col],
-                )
-                if len(hit):
-                    fold(
-                        contrib(
-                            hit[group_col].to_pylist(),
-                            hit[val_col].to_numpy(zero_copy_only=False),
-                            -1,
-                        )
-                    )
-            live = g.filter(
-                pa.compute.fill_null(pa.compute.not_equal(g["op"], "D"), True)
-            )
-            if len(live):
-                fold(
-                    contrib(
-                        live[group_col].to_pylist(),
-                        live[val_col].to_numpy(zero_copy_only=False),
-                        +1,
-                    )
-                )
-            gs, bs, cs = [], [], []
-            for k, bks in deltas.items():
-                for bk, c in bks.items():
-                    if c:
-                        gs.append(k)
-                        bs.append(int(bk))
-                        cs.append(c)
-            return pa.table(
+        g = np.array([_gkey(x) for t in (old, new) for x in t["g"].to_pylist()], dtype=object)
+        v = np.concatenate([t["v"].to_numpy(zero_copy_only=False) for t in (old, new)])
+        dn = np.r_[np.full(len(old), -1, np.int64), np.ones(len(new), np.int64)]
+        ok = v > 0  # DDSketch domain: positive values
+        sums = (
+            pa.table(
                 {
-                    "g": pa.array(gs, pa.string()),
-                    "bucket": pa.array(bs, pa.int64()),
-                    "dn": pa.array(cs, pa.int64()),
+                    "g": pa.array(g[ok], pa.string()),
+                    "bucket": pa.array(dd_bucket(v[ok], alpha), pa.int64()),
+                    "dn": pa.array(dn[ok]),
                 }
             )
-
-        feed = eng.changes_dataset(epoch).map_batches(
-            tag, batch_format="pyarrow", zero_copy_batch=True
+            .group_by(["g", "bucket"])
+            .aggregate([("dn", "sum")])
         )
-        rows = feed.groupby("part").map_groups(per_part, batch_format="pyarrow").take_all()
-        out: dict = {}
-        for r in rows:
-            acc = out.setdefault(r["g"], {})
-            bk = str(int(r["bucket"]))
-            acc[bk] = acc.get(bk, 0) + int(r["dn"])
-        return out
+        sums = sums.filter(pc.not_equal(sums["dn_sum"], 0))
+        return pa.table({"g": sums["g"], "bucket": sums["bucket"], "dn": sums["dn_sum"]})
 
-    def update_to(self, epoch: int | None = None) -> dict:
-        cur = load_current(self.engine.table_root)
-        if cur is None and epoch is None:
-            return {}
-        target = cur.epoch if epoch is None else epoch
-        have, state = self._load_latest(target)
-        for e in range(have + 1, target + 1):
-            for k, bks in self._epoch_delta(e).items():
-                acc = state.setdefault(k, {})
-                for bk, c in bks.items():
-                    n = acc.get(bk, 0) + c
-                    if n:
-                        acc[bk] = n
-                    else:
-                        acc.pop(bk, None)
-                if not acc:
-                    del state[k]
-            self._persist(e, state)
+    def _fold(self, state: dict, rows: list[dict], epoch: int) -> dict:
+        for r in rows:
+            acc = state.setdefault(r["g"], {})
+            bk = str(int(r["bucket"]))
+            n = acc.get(bk, 0) + int(r["dn"])
+            if n:
+                acc[bk] = n
+            else:
+                acc.pop(bk, None)
+            if not acc:
+                del state[r["g"]]
         return state
 
     def as_table(

@@ -84,7 +84,7 @@ class Manifest:
     # Lets the engine distinguish an already-applied file from a LATE
     # producer file whose LSNs fall at/below the watermark — the
     # latter is quarantined instead of silently skipped
-    # (``CdcEngine._quarantine_late``).  None on pre-field manifests
+    # (``state/late.py::quarantine_late``).  None on pre-field manifests
     # (detection then stays off — legacy behavior); [] on derived
     # epochs (backfill/compact/repartition consume no new files).
     source_files: list[str] | None = None
@@ -194,9 +194,10 @@ def list_committed_epochs(table_root: str) -> list[int]:
 def _view_retention_floor(table_root: str) -> int | None:
     """Oldest epoch any persisted incremental view still depends on.
 
-    ``IncrementalAggView.update_to`` resumes from a view's latest
-    persisted epoch H and, for each epoch e in (H, CURRENT], reads
-    epoch e's change feed plus the PARENT chain at e-1 — so every
+    ``EpochDeltaView.update_to`` (pipelines/views.py, the base of every
+    incremental view) resumes from a view's latest persisted epoch H
+    and, for each epoch e in (H, CURRENT], reads epoch e's change feed
+    plus the PARENT chain at e-1 — so every
     epoch ≥ H must survive GC or a lagging view would read deleted
     chains.  Fresh views (no persisted state) replay from epoch 1 and
     are not protected; checkpoint them (``update_to()``) before GC."""
@@ -401,19 +402,24 @@ def gc_log(table_root: str, log_dir) -> int:
     watermark); every retained epoch serves its change feed from its
     own winners files.  Archiving gives up re-applying those events:
     ``rollback_to`` followed by ``replay()`` can only re-apply events
-    whose log files remain, so roll back before archiving.  Holds the
+    whose log files remain, so roll back before archiving.  A LATE
+    file (at or below the watermark, consumed by no retained epoch) is
+    never deleted: it is dead-lettered and logged first
+    (``state/late.py``), exactly as the next epoch would.  Holds the
     writer lock: an in-flight epoch plans from a log listing that a
     concurrent unlink would invalidate.  Returns files removed."""
     from ..sources.tail import list_log_files, remove_log_file
+    from .late import quarantine_late
     from .lock import WriterLock
 
     with WriterLock(table_root):
         cur = load_current(table_root)
         if cur is None:
             return 0
+        late = quarantine_late(table_root, log_dir, cur.watermark_lsn)
         removed = 0
         for f in list_log_files(log_dir):
-            if f.max_lsn <= cur.watermark_lsn:
+            if f.max_lsn <= cur.watermark_lsn and os.path.basename(f.path) not in late:
                 remove_log_file(f.path)
                 removed += 1
         return removed

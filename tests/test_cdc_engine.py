@@ -7,10 +7,18 @@ import os
 import pyarrow as pa
 import pytest
 
+import tartare_ray.pipelines.cdc as cdc
 from tartare_ray.gen import GenConfig, generate_log
 from tartare_ray.oracle import replay_oracle
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
 from tartare_ray.state.manifest import load_current
+
+
+@pytest.fixture()
+def two_phase(monkeypatch):
+    """Force late materialization's two-phase path: no winner ratio
+    triggers the single-pass fallback."""
+    monkeypatch.setattr(cdc, "LATE_MAT_MAX_RATIO", 1.01)
 
 
 def assert_tables_equal(actual: pa.Table, expected: pa.Table):
@@ -253,7 +261,7 @@ def test_writer_lock_excludes_second_engine(engine_setup, tmp_log):
 
 
 @pytest.mark.parametrize("mode", ["cow", "delta"])
-def test_late_materialization_matches_oracle(engine_setup, mode):
+def test_late_materialization_matches_oracle(engine_setup, two_phase, mode):
     """Two-phase (envelope winners -> payload-filtered shuffle) epochs
     commit the identical table; the adaptive ratio guard is bypassed so
     the winner-filter path definitely executes."""
@@ -263,7 +271,7 @@ def test_late_materialization_matches_oracle(engine_setup, mode):
         root + f"-lm-{mode}",
         EngineConfig(
             num_partitions=4, epoch_max_files=2, write_mode=mode,
-            late_materialization=True, late_mat_max_ratio=1.01,
+            late_materialization=True,
         ),
     )
     eng.replay()
@@ -422,7 +430,7 @@ def test_time_travel_to_gcd_epoch_errors_clearly(ray_session, tmp_path):
     assert len(eng.snapshot_table(epoch=3)) > 0
 
 
-def test_kitchen_sink_config_combination(ray_session, tmp_path):
+def test_kitchen_sink_config_combination(ray_session, two_phase, tmp_path):
     """All engine options at once — multi-source union, delta write
     mode, chain folds, late materialization, an ingest transform —
     interact correctly: final table equals the oracle folded through
@@ -451,7 +459,6 @@ def test_kitchen_sink_config_combination(ray_session, tmp_path):
             write_mode="delta",
             compact_chain_len=2,
             late_materialization=True,
-            late_mat_max_ratio=1.01,
             ingest_steps=(("truncate_tokens", {"max_len": 10}),),
         ),
     )
@@ -501,7 +508,7 @@ def test_late_mat_adaptive_fallback_on_low_duplication(ray_session, tmp_path):
     )
 
 
-def test_epoch_metrics_straggler_and_phases(ray_session, tmp_path):
+def test_epoch_metrics_straggler_and_phases(ray_session, two_phase, tmp_path):
     """SURVEY.md §8.6: every committed epoch records per-writer-task
     apply walls (straggler max/mean) and a per-phase wall breakdown."""
     import json
@@ -511,7 +518,7 @@ def test_epoch_metrics_straggler_and_phases(ray_session, tmp_path):
     )
     for cfg in (
         EngineConfig(num_partitions=4, write_mode="delta",
-                     late_materialization=True, late_mat_max_ratio=1.01),
+                     late_materialization=True),
         EngineConfig(num_partitions=4),
     ):
         root = str(tmp_path / f"table-{cfg.write_mode}")

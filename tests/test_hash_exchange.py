@@ -15,9 +15,17 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+import tartare_ray.pipelines.cdc as cdc
 from tartare_ray.gen import GenConfig, generate_log
 from tartare_ray.oracle import replay_oracle
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
+
+
+@pytest.fixture()
+def two_phase(monkeypatch):
+    """Force late materialization's two-phase path: no winner ratio
+    triggers the single-pass fallback."""
+    monkeypatch.setattr(cdc, "LATE_MAT_MAX_RATIO", 1.01)
 
 
 def _assert_table_equals(actual: pa.Table, expected: pa.Table):
@@ -67,7 +75,7 @@ def test_hash_exchange_replay_matches_oracle(ray_session, gen_dir, tmp_path):
 
 @pytest.mark.slow
 def test_hash_exchange_with_late_materialization_matches_oracle(
-    ray_session, gen_dir, tmp_path
+    ray_session, gen_dir, two_phase, tmp_path
 ):
     """The flagship bench combination (BASELINE.md): phase-1 winner
     envelope prunes the split writers' input to winners only.  Must
@@ -81,7 +89,6 @@ def test_hash_exchange_with_late_materialization_matches_oracle(
             write_mode="delta",
             epoch_max_files=2,
             late_materialization=True,
-            late_mat_max_ratio=1.01,  # force the two-phase path
         ),
     )
     eng.replay()
@@ -286,8 +293,10 @@ def test_hash_exchange_idempotent_rereplay(ray_session, gen_dir, tmp_path):
     _assert_table_equals(eng.snapshot_table(), snap1)
 
 
-def test_envelope_prefetch_hits_and_matches_oracle(ray_session, gen_dir, tmp_path):
-    """Epoch pipelining: with prefetch_envelope on (default), epochs
+def test_envelope_prefetch_hits_and_matches_oracle(
+    ray_session, gen_dir, two_phase, tmp_path
+):
+    """Epoch pipelining: with late materialization on, epochs
     after the first consume the background-computed winner set
     (phases.envelope_prefetched true) and the final table still equals
     the oracle exactly."""
@@ -303,7 +312,6 @@ def test_envelope_prefetch_hits_and_matches_oracle(ray_session, gen_dir, tmp_pat
             write_mode="delta",
             epoch_max_files=2,
             late_materialization=True,
-            late_mat_max_ratio=1.01,
         ),
     )
     m = eng.replay()
@@ -317,7 +325,7 @@ def test_envelope_prefetch_hits_and_matches_oracle(ray_session, gen_dir, tmp_pat
     assert all(flags[1:]), flags  # every later epoch hit the prefetch
 
 
-def test_envelope_prefetch_miss_on_grown_log(ray_session, tmp_path):
+def test_envelope_prefetch_miss_on_grown_log(ray_session, two_phase, tmp_path):
     """Tail mode: files arriving AFTER epoch E's prefetch was planned
     change epoch E+1's file set — the stale prefetch must be discarded
     (miss) and the epoch recomputed inline, still matching the oracle."""
@@ -341,7 +349,6 @@ def test_envelope_prefetch_miss_on_grown_log(ray_session, tmp_path):
             write_mode="delta",
             epoch_max_files=2,
             late_materialization=True,
-            late_mat_max_ratio=1.01,
         ),
     )
     eng.run_epoch()  # epoch 1 over files 0-1; prefetch planned = EMPTY rest
@@ -356,7 +363,9 @@ def test_envelope_prefetch_miss_on_grown_log(ray_session, tmp_path):
     _assert_table_equals(eng.snapshot_table(), replay_oracle(res.files))
 
 
-def test_hash_path_crash_before_commit_is_exactly_once(ray_session, gen_dir, tmp_path):
+def test_hash_path_crash_before_commit_is_exactly_once(
+    ray_session, gen_dir, two_phase, tmp_path
+):
     """Flagship-config variant of the two-phase crash test: kill after
     the split files and winners files are written but before the
     manifest/CURRENT swap.  Re-run must converge to the oracle, any
@@ -374,7 +383,6 @@ def test_hash_path_crash_before_commit_is_exactly_once(ray_session, gen_dir, tmp
         write_mode="delta",
         epoch_max_files=2,
         late_materialization=True,
-        late_mat_max_ratio=1.01,
     )
 
     class CrashingEngine(CdcEngine):

@@ -1,4 +1,4 @@
-"""Out-of-order tail hardening (pipelines/cdc.py::_quarantine_late):
+"""Out-of-order tail hardening (state/late.py::quarantine_late):
 a producer file whose LSNs fall entirely at/below the committed
 watermark — and that no retained epoch consumed — must be
 dead-lettered to ``_quarantine/late/`` with metrics, never silently
@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
 from tartare_ray.schema import CHANGE_SCHEMA
+from tartare_ray.state.manifest import gc_log
 
 
 def _write_events(path: str, rows: list[tuple]) -> None:
@@ -82,6 +83,23 @@ def test_wholly_late_file_is_quarantined(ray_session, tmp_path):
         )
     ]
     assert meta[0]["max_lsn"] == 15 and meta[0]["watermark"] == 20
+
+
+def test_gc_log_quarantines_late_file_before_archiving(ray_session, tmp_path):
+    """Log archival must not delete a late file: two epochs commit with
+    watermark 20, then a file holding lsn 5 appears.  gc_log removes
+    the two applied files and dead-letters the late one, with its
+    jsonl line, instead of unlinking it unrecorded."""
+    log, eng = _engine(tmp_path)
+    assert eng.history()[0]["watermark_lsn"] == 20
+    _write_events(f"{log}/events-000002.parquet", [(5, "I", "z", [9])])
+    assert gc_log(eng.table_root, log) == 2
+    assert os.listdir(log) == []
+    qp = os.path.join(eng.table_root, "_quarantine", "late", "events-000002.parquet")
+    assert os.path.exists(qp)
+    assert eng.late_quarantine_stats() == {"files": 1, "rows": 1}
+    eng.replay()  # nothing left to apply or to quarantine
+    assert eng.late_quarantine_stats() == {"files": 1, "rows": 1}
 
 
 def test_straddling_file_applies_only_above_watermark(ray_session, tmp_path):

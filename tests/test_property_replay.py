@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tartare_ray.pipelines.cdc as cdc
 from tartare_ray.oracle import replay_oracle
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
 
@@ -65,7 +66,10 @@ def _write_log(events, log_dir):
 @settings(max_examples=12, deadline=None, suppress_health_check=list(HealthCheck))
 @given(event_logs(), st.sampled_from(["cow", "delta"]), st.booleans())
 @pytest.mark.slow
-def test_engine_equals_sequential_fold(ray_session, tmp_path_factory, events, mode, late):
+def test_engine_equals_sequential_fold(
+    ray_session, tmp_path_factory, monkeypatch, events, mode, late
+):
+    monkeypatch.setattr(cdc, "LATE_MAT_MAX_RATIO", 1.01)  # force two phases
     base = str(tmp_path_factory.mktemp("prop"))
     files = _write_log(events, os.path.join(base, "log"))
     expected = replay_oracle(files)
@@ -73,7 +77,7 @@ def test_engine_equals_sequential_fold(ray_session, tmp_path_factory, events, mo
         os.path.join(base, "log"),
         os.path.join(base, "table"),
         EngineConfig(num_partitions=3, epoch_max_files=1, write_mode=mode,
-                     late_materialization=late, late_mat_max_ratio=1.01),
+                     late_materialization=late),
     )
     eng.replay()
     actual = eng.snapshot_table()

@@ -130,7 +130,9 @@ ray.init(address="local", num_cpus=1, object_store_memory=200 << 20,
          include_dashboard=False, logging_level="ERROR")
 from tartare_ray.gen import GenConfig, generate_log
 from tartare_ray.oracle import replay_oracle
+import tartare_ray.pipelines.cdc as cdc
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
+cdc.LATE_MAT_MAX_RATIO = 1.01  # force two phases
 base = sys.argv[1]
 res = generate_log(os.path.join(base, "log"),
                    GenConfig(n_events=3000, n_docs=300, events_per_file=1000))
@@ -138,7 +140,7 @@ want = replay_oracle(res.files)
 for name, cfg in (
     ("cow", EngineConfig(num_partitions=4, epoch_max_files=1)),
     ("delta", EngineConfig(num_partitions=4, epoch_max_files=1, write_mode="delta",
-                           late_materialization=True, late_mat_max_ratio=1.01)),
+                           late_materialization=True)),
 ):
     eng = CdcEngine(os.path.dirname(res.files[0]), os.path.join(base, name), cfg)
     assert eng.replay().epoch == 3, name
