@@ -777,6 +777,14 @@ class CdcEngine:
             )
         return ds
 
+    def _feed_schema(self, m: Manifest | None = None) -> pa.Schema:
+        """The change feed's schema: the (op, lsn) envelope, then the
+        snapshot columns of ``m`` (default: the head epoch)."""
+        if m is None:
+            m = load_current(self.table_root)
+        cols = m.schema if m is not None else BASE_SCHEMA
+        return pa.schema([CHANGE_SCHEMA.field("op"), CHANGE_SCHEMA.field("lsn"), *cols])
+
     def changes_dataset(self, epoch: int) -> ray.data.Dataset:
         """The downstream change feed of one committed epoch: the
         latest-per-key winners it applied, tombstones included, with
@@ -796,9 +804,7 @@ class CdcEngine:
         from ..stages.kernels import latest_per_key
 
         m = load_epoch(self.table_root, epoch)
-        feed_schema = pa.schema(
-            [CHANGE_SCHEMA.field("op"), CHANGE_SCHEMA.field("lsn")] + list(m.schema)
-        )
+        feed_schema = self._feed_schema(m)
         by_p: dict[int, list[str]] = {}
         for pl in m.partitions:
             if pl.epoch != epoch:
@@ -891,11 +897,7 @@ class CdcEngine:
         from ..state.manifest import list_committed_epochs
 
         if hi_lsn <= lo_lsn:
-            return ray.data.from_arrow(
-                pa.schema(
-                    [CHANGE_SCHEMA.field("op"), CHANGE_SCHEMA.field("lsn")]
-                ).empty_table()
-            )
+            return ray.data.from_arrow(self._feed_schema().empty_table())
         feeds = []
         retained = list_committed_epochs(self.table_root)
         if retained:
@@ -937,11 +939,7 @@ class CdcEngine:
                 )
             feeds.append(self.changes_dataset(e))
         if not feeds:
-            return ray.data.from_arrow(
-                pa.schema(
-                    [CHANGE_SCHEMA.field("op"), CHANGE_SCHEMA.field("lsn")]
-                ).empty_table()
-            )
+            return ray.data.from_arrow(self._feed_schema().empty_table())
         ds = feeds[0]
         if len(feeds) > 1:
             ds = ds.union(*feeds[1:])

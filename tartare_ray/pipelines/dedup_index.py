@@ -52,6 +52,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..state.manifest import list_committed_epochs, load_epoch, load_generation
+from ..stages.kernels import fold_by_part
 from ..stages.text import token_fingerprints_batch
 from .replica import _epoch_identity
 
@@ -288,12 +289,13 @@ class EpochDeltaIndex:
         return target
 
     def _rebuild_base(self, cursor: int) -> None:
-        """Rollback fell below the compacted base epoch: the per-epoch
-        deltas it covered are gone, so re-derive the index state from
-        the TABLE SNAPSHOT at the rollback target (time travel), with
-        every row carrying the target epoch's watermark LSN (all later
-        feed rows outrank it in the latest-per-key fold).  One full
-        corpus read — paid only on rollback-past-compaction."""
+        """The per-epoch deltas or feeds up to ``cursor`` are gone — a
+        rollback fell below the compacted base, or ``gc_epochs``
+        dropped epochs this index never consumed — so re-derive the
+        index state from the TABLE SNAPSHOT at ``cursor`` (time
+        travel), with every row carrying that epoch's watermark LSN
+        (all later feed rows outrank it in the latest-per-key fold).
+        One full corpus read, paid only in those two cases."""
         m = load_epoch(self.engine.table_root, cursor)
         wm = int(m.watermark_lsn)
         snap = self.engine.snapshot_dataset(epoch=cursor)
@@ -359,6 +361,16 @@ class EpochDeltaIndex:
             if e > cursor or e <= floor:
                 shutil.rmtree(os.path.join(self.dir, n), ignore_errors=True)
         done = []
+        # the table aged past the cursor (a fresh index on a GC'd table,
+        # or a consumer registered after gc_epochs): the feeds of the
+        # missing epochs are gone, so folding the retained ones alone
+        # would silently drop every doc they never touched — derive
+        # the state from the snapshot at the oldest retained epoch
+        later = sorted(e for e in committed if e > cursor)
+        if later and later[0] != cursor + 1:
+            self._rebuild_base(later[0])
+            self.engine.ack_changes(self.consumer, later[0])
+            done.append(later[0])
         for e, ds in self.engine.consume(self.consumer):
             if not os.path.isdir(self._epoch_dir(e)) or not self._marker_ok(e):
                 self._write_epoch(e, ds)
@@ -427,16 +439,12 @@ class EpochDeltaIndex:
         """(doc_id, <payload>) of the CURRENT live state: latest-LSN
         record per doc_id across the base + deltas, deletes dropped —
         the same argmax reduce as the engine's apply.  Vectorized at
-        scale: a per-block ``latest_per_key`` pre-reduce, ONE
-        hash-partition tag, and a per-PARTITION vectorized fold — P
-        Python calls total, never one per doc.  ``full=True`` keeps
-        the winning (op, lsn) envelope too — the delta-shaped rows
-        ``compact`` folds into a new base."""
-        import numpy as np
-
-        import ray
-
-        from ..stages.kernels import hash_partition_ids, latest_per_key
+        scale: a per-block ``latest_per_key`` pre-reduce, then one
+        ``fold_by_part`` on doc_id — P Python calls total, never one
+        per doc.  ``full=True`` keeps the winning (op, lsn) envelope
+        too — the delta-shaped rows ``compact`` folds into a new
+        base."""
+        from ..stages.kernels import latest_per_key
 
         cols = self._payload_cols or (self._payload,)
         names = [n for n, _ in cols]
@@ -449,26 +457,17 @@ class EpochDeltaIndex:
                 empty["op"] = pa.array([], pa.string())
                 empty["lsn"] = pa.array([], pa.int64())
             return ray.data.from_arrow(pa.table(empty))
-        P = max(4, int(ray.cluster_resources().get("CPU", 4)))
-
-        def pre(b: pa.Table) -> pa.Table:
-            t = latest_per_key(b, "doc_id", "lsn")
-            return t.append_column(
-                "part",
-                pa.array(hash_partition_ids(t["doc_id"], P).astype(np.int64)),
-            )
-
         def fold(g: pa.Table, keep_cols=keep_cols) -> pa.Table:
             t = latest_per_key(g, "doc_id", "lsn")
             keep = pc.invert(pc.fill_null(pc.equal(t["op"], "D"), False))
             return t.filter(keep).select(keep_cols)
 
-        return (
-            ray.data.read_parquet(files)
-            .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("part")
-            .map_groups(fold, batch_format="pyarrow")
+        pre = ray.data.read_parquet(files).map_batches(
+            lambda b: latest_per_key(b, "doc_id", "lsn"),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
         )
+        return fold_by_part(pre, "doc_id", fold)
 
 
 class TokenDedupIndex(EpochDeltaIndex):
@@ -528,26 +527,6 @@ class TokenDedupIndex(EpochDeltaIndex):
         """(doc_id, fp) of the CURRENT live state — see ``_live_rows``."""
         return self._live_rows()
 
-    def _fp_partitioned(self) -> ray.data.Dataset:
-        """Live rows tagged by hash(fp) partition so all docs of a
-        fingerprint co-locate — the dup-group shuffle moves 16-byte
-        rows and the per-partition folds below stay VECTORIZED (one
-        sort + run masks per partition, not Python per fingerprint)."""
-        import numpy as np
-
-        from ..functions.hashing import mix64
-
-        P = max(4, int(ray.cluster_resources().get("CPU", 4)))
-
-        def tag(b: pa.Table) -> pa.Table:
-            fp = b["fp"].to_numpy(zero_copy_only=False)
-            part = (mix64(fp.view(np.uint64)) % np.uint64(P)).astype(np.int64)
-            return b.append_column("part", pa.array(part))
-
-        return self.live_fingerprints().map_batches(
-            tag, batch_format="pyarrow", zero_copy_batch=True
-        )
-
     def duplicate_losers(self) -> ray.data.Dataset:
         """doc_ids that exact token-sequence dedup would DROP — every
         live doc of a duplicated fingerprint except the min-doc_id
@@ -564,9 +543,9 @@ class TokenDedupIndex(EpochDeltaIndex):
                 keep[1:] = fp[1:] == fp[:-1]  # every non-first of its run
             return t.filter(pa.array(keep)).select(["doc_id"])
 
-        return self._fp_partitioned().groupby("part").map_groups(
-            losers, batch_format="pyarrow"
-        )
+        # all docs of a fingerprint co-locate: one sort + run mask per
+        # part, never Python per fingerprint
+        return fold_by_part(self.live_fingerprints(), "fp", losers)
 
     def duplicate_groups(self, min_copies: int = 2) -> ray.data.Dataset:
         """(fp, survivor, n_copies) for every fingerprint with
@@ -601,6 +580,4 @@ class TokenDedupIndex(EpochDeltaIndex):
                 }
             )
 
-        return self._fp_partitioned().groupby("part").map_groups(
-            groups, batch_format="pyarrow"
-        )
+        return fold_by_part(self.live_fingerprints(), "fp", groups)

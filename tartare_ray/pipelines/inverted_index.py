@@ -31,9 +31,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
+from ..stages.kernels import fold_by_part
 from .dedup_index import EpochDeltaIndex
 
 TERMS_T = pa.list_(pa.int64())
@@ -179,9 +179,6 @@ class InvertedIndex(EpochDeltaIndex):
         before ONE term-hash exchange of (term, df_p, tf_p) int rows,
         then a vectorized per-partition fold — the partial-then-fold
         combiner shape every wide aggregate here uses."""
-        from ..functions.hashing import mix64
-
-        P = max(4, int(ray.cluster_resources().get("CPU", 4)))
 
         def partial(b: pa.Table) -> pa.Table:
             t = b["term"].to_numpy(zero_copy_only=False)
@@ -189,14 +186,8 @@ class InvertedIndex(EpochDeltaIndex):
             uniq, inv = np.unique(t, return_inverse=True)
             df = np.bincount(inv).astype(np.int64)
             tf = np.bincount(inv, weights=f).astype(np.int64)
-            part = (mix64(uniq.view(np.uint64)) % np.uint64(P)).astype(np.int64)
             return pa.table(
-                {
-                    "term": pa.array(uniq),
-                    "df": pa.array(df),
-                    "tf_total": pa.array(tf),
-                    "part": pa.array(part),
-                }
+                {"term": pa.array(uniq), "df": pa.array(df), "tf_total": pa.array(tf)}
             )
 
         def fold(g: pa.Table) -> pa.Table:
@@ -212,12 +203,10 @@ class InvertedIndex(EpochDeltaIndex):
                 {"term": pa.array(uniq), "df": pa.array(df), "tf_total": pa.array(tf)}
             )
 
-        return (
-            self.live_postings()
-            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("part")
-            .map_groups(fold, batch_format="pyarrow")
+        pre = self.live_postings().map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True
         )
+        return fold_by_part(pre, "term", fold)
 
     def search(self, terms: list[int], k: int = 10) -> pa.Table:
         """Top-``k`` docs by summed tf over ``terms`` (bag-of-words
@@ -227,9 +216,6 @@ class InvertedIndex(EpochDeltaIndex):
         moves (doc_id, score) rows, each partition emits its own
         top-k, and the driver merges P·k candidate rows (the standard
         distributed top-k shape).  Returns a small pa.Table."""
-        from ..stages.kernels import hash_partition_ids
-
-        P = max(4, int(ray.cluster_resources().get("CPU", 4)))
 
         def partial(b: pa.Table) -> pa.Table:
             ids = b["doc_id"]
@@ -240,10 +226,7 @@ class InvertedIndex(EpochDeltaIndex):
             score = np.bincount(
                 inv, weights=b["tf"].to_numpy(zero_copy_only=False)
             ).astype(np.int64)
-            t = pa.table({"doc_id": codes.dictionary, "score": pa.array(score)})
-            return t.append_column(
-                "part", pa.array(hash_partition_ids(t["doc_id"], P).astype(np.int64))
-            )
+            return pa.table({"doc_id": codes.dictionary, "score": pa.array(score)})
 
         def topk_fold(g: pa.Table, k=k) -> pa.Table:
             ids = g["doc_id"]
@@ -258,11 +241,12 @@ class InvertedIndex(EpochDeltaIndex):
             t = t.sort_by([("score", "descending"), ("doc_id", "ascending")])
             return t.slice(0, k)
 
-        cand = (
-            self.live_postings(terms=terms)
-            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("part")
-            .map_groups(topk_fold, batch_format="pyarrow")
+        cand = fold_by_part(
+            self.live_postings(terms=terms).map_batches(
+                partial, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "doc_id",
+            topk_fold,
         )
         # O(P·k) candidate rows — the only driver-side collection
         out = pa.concat_tables(cand.iter_batches(batch_format="pyarrow"))

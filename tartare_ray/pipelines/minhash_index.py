@@ -31,8 +31,7 @@ import ray.data
 from ..functions.hashing import band_keys, minhash_signatures, mix64, shingle_hashes
 from ..stages.dedup import (
     _u64_rows_from_binary,
-    bucket_pairs_partition,
-    bucket_part_tag,
+    bucket_pair_counts,
     verify_minhash_pairs_batch,
 )
 from .dedup_index import EpochDeltaIndex
@@ -149,26 +148,9 @@ class MinHashIndex(EpochDeltaIndex):
             )
 
         bands = live.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        from ray.data.aggregate import Count
-
-        n_parts = max(4, 2 * int(ray.cluster_resources().get("CPU", 4)))
-        pairs = (
-            bands.map_batches(
-                bucket_part_tag(["band", "band_key"], n_parts),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            .groupby("part")
-            .map_groups(
-                lambda g: bucket_pairs_partition(
-                    g, ["band", "band_key"], max_bucket=max_bucket
-                ),
-                batch_format="pyarrow",
-            )
-            .groupby(["doc_a", "doc_b"])
-            .aggregate(Count(alias_name="n_buckets"))
-            .select_columns(["doc_a", "doc_b"])
-        )
+        pairs = bucket_pair_counts(
+            bands, ["band", "band_key"], "n_buckets", max_bucket=max_bucket
+        ).select_columns(["doc_a", "doc_b"])
         # coalesce the aggregate's possible empty blocks before Acero
         # joins (the queries._pairs_norm convention)
         m = pairs.materialize()

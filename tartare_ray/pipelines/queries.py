@@ -35,7 +35,12 @@ from ..stages import graph as G
 from ..stages import multimodal as MM
 from ..stages import similarity as S
 from ..stages import text as TX
-from ..stages.kernels import argmax_per_key, grouped_ref_positions, run_segments
+from ..stages.kernels import (
+    argmax_per_key,
+    fold_by_part,
+    grouped_ref_positions,
+    run_segments,
+)
 from .flagship import (
     flagship_replica_summary,
     flagship_snapshot_summary,
@@ -209,19 +214,16 @@ def latest_event_per_user(sf_dir: str) -> ray.data.Dataset:
     the CDC applier's latest-LSN-wins (SURVEY.md §2A A2): per-batch
     partial pre-reduce, then per-group final.  The pre-reduce bounds
     shuffle volume to ≤ one row per user per block."""
-    n_buckets = _join_parts()
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
-
-    def pre_reduce(b: pa.Table) -> pa.Table:
-        t = argmax_per_key(b, "user_id", ["ts", "event_id"])
-        return t.append_column("bucket", _bucket_of(t, "user_id", n_buckets))
-
-    pre = ds.map_batches(pre_reduce, batch_format="pyarrow", zero_copy_batch=True)
-    # final reduce per coarse bucket (argmax_per_key is multi-key
-    # vectorized), not per user — O(buckets) Python calls, not O(users)
-    final = pre.groupby("bucket").map_groups(
-        lambda g: argmax_per_key(g, "user_id", ["ts", "event_id"]),
+    pre = ds.map_batches(
+        lambda b: argmax_per_key(b, "user_id", ["ts", "event_id"]),
         batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    # final reduce per coarse part (argmax_per_key is multi-key
+    # vectorized), not per user — O(parts) Python calls, not O(users)
+    final = fold_by_part(
+        pre, "user_id", lambda g: argmax_per_key(g, "user_id", ["ts", "event_id"])
     )
     return final.select_columns(["user_id", "event_id", "ts", "event_type", "value"])
 
@@ -341,23 +343,6 @@ def validity_period(sf_dir: str) -> ray.data.Dataset:
     return pre.groupby("event_type").map_groups(combine, batch_format="pyarrow")
 
 
-def _bucket_of(b: pa.Table, key: str, n_buckets: int) -> pa.Array:
-    """Coarse shuffle bucket for an integer key column — the window
-    ops shuffle on O(cluster) buckets, never on the raw key, so the
-    per-group fold runs O(buckets) times (not O(keys)) and no single
-    key's history must fit a group by itself (funnel_depth pattern).
-    Keys are mixed (mix64) before the modulo: raw ``key % n_buckets``
-    collapses structured id spaces (all-even ids, stride-allocated
-    ids) into a few giant buckets — exactly the blowup bucketing
-    exists to avoid."""
-    from ..functions.hashing import mix64
-
-    k = b[key].combine_chunks().to_numpy().astype(np.int64)
-    return pa.array(
-        (mix64(k.view(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
-    )
-
-
 def sessionize(sf_dir: str) -> ray.data.Dataset:
     """Gap-based sessionization (streaming-window analogue): ONE
     coarse user-bucket shuffle (O(cluster) groups, not O(users)), then
@@ -368,7 +353,6 @@ def sessionize(sf_dir: str) -> ray.data.Dataset:
     history fit a group of its own (a 10^8-event hot user just makes
     its bucket proportionally larger)."""
     gap_us = 4 * 3600 * 1_000_000
-    n_buckets = _join_parts()
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -376,7 +360,6 @@ def sessionize(sf_dir: str) -> ray.data.Dataset:
                 "user_id": b["user_id"],
                 "ts_us": pc.cast(b["ts"], pa.int64()),
                 "event_id": b["event_id"],
-                "bucket": _bucket_of(b, "user_id", n_buckets),
             }
         )
 
@@ -403,16 +386,14 @@ def sessionize(sf_dir: str) -> ray.data.Dataset:
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"]).map_batches(
         prep, batch_format="pyarrow", zero_copy_batch=True
     )
-    return ds.groupby("bucket").map_groups(fold, batch_format="pyarrow").select_columns(
-        ["user_id", "n_events", "n_sessions"]
-    )
+    return fold_by_part(ds, "user_id", fold)
 
 
 # --------------------------------------------------------------------------
 # Time-series joins & windows (custom operators Ray Data lacks — built as
-# map_batches + co-partitioned groupby().map_groups per SURVEY.md §2A J2/J4;
+# map_batches + one co-partitioning ``fold_by_part`` per SURVEY.md §2A J2/J4;
 # partitioning assumption: both sides hash-shuffled on the SAME key column,
-# per-group state = one user's sorted timeline, which is bounded)
+# each part folds all of its users' sorted timelines in one vectorized pass)
 # --------------------------------------------------------------------------
 
 def window_agg(sf_dir: str) -> ray.data.Dataset:
@@ -568,19 +549,6 @@ def _tagged_events(sf_dir: str, probe_type: str, ref_types: list[str]) -> ray.da
     )
 
 
-def _bucketed_tagged(sf_dir: str, probe_type: str, ref_types: list[str]) -> ray.data.Dataset:
-    """``_tagged_events`` plus the coarse user bucket both time-joins
-    shuffle on — O(cluster) groups, each fold vectorized over EVERY
-    user in the bucket at once (``grouped_ref_positions``), so there is
-    no per-user Python dispatch and no one-user-one-group residency."""
-    n_buckets = _join_parts()
-    return _tagged_events(sf_dir, probe_type, ref_types).map_batches(
-        lambda b: b.append_column("bucket", _bucket_of(b, "user_id", n_buckets)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
 def asof_join(sf_dir: str) -> ray.data.Dataset:
     """As-of join (Ray Data has no native one): for each purchase, the
     latest click/view by the same user at or before it.  Both sides
@@ -627,10 +595,7 @@ def asof_join(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    tagged = _bucketed_tagged(sf_dir, "purchase", ["click", "view"])
-    return tagged.groupby("bucket").map_groups(
-        fold, batch_format="pyarrow"
-    ).select_columns(["p_event_id", "user_id", "m_event_id", "m_event_type", "gap_us"])
+    return fold_by_part(_tagged_events(sf_dir, "purchase", ["click", "view"]), "user_id", fold)
 
 
 def range_join(sf_dir: str) -> ray.data.Dataset:
@@ -668,10 +633,7 @@ def range_join(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    tagged = _bucketed_tagged(sf_dir, "signup", ["error"])
-    return tagged.groupby("bucket").map_groups(
-        fold, batch_format="pyarrow"
-    ).select_columns(["s_event_id", "user_id", "n_errors_24h"])
+    return fold_by_part(_tagged_events(sf_dir, "signup", ["error"]), "user_id", fold)
 
 
 def broadcast_join(sf_dir: str) -> ray.data.Dataset:
@@ -800,11 +762,9 @@ def grouped_mode(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("n", alias_name="n"))
     )
 
-    n_buckets = _join_parts()
-
     def pick(g: pa.Table) -> pa.Table:
-        # vectorized multi-user mode: sort the whole bucket, first row
-        # of each user run wins — O(buckets) calls, not O(users)
+        # vectorized multi-user mode: sort the whole part, first row
+        # of each user run wins — O(parts) calls, not O(users)
         t = g.sort_by(
             [
                 ("user_id", "ascending"),
@@ -822,16 +782,7 @@ def grouped_mode(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        pairs.map_batches(
-            lambda b: b.append_column("bucket", _bucket_of(b, "user_id", n_buckets)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(pick, batch_format="pyarrow")
-        .select_columns(["user_id", "mode_event_type", "n"])
-    )
+    return fold_by_part(pairs, "user_id", pick)
 
 
 def rolling_window(sf_dir: str, window: int = 3) -> ray.data.Dataset:
@@ -841,7 +792,6 @@ def rolling_window(sf_dir: str, window: int = 3) -> ray.data.Dataset:
     over every user in the bucket (the window lower bound clips at
     each user's segment start).  Sums carried as integer cents (exact
     oracle); no per-user Python dispatch."""
-    n_buckets = _join_parts()
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -852,7 +802,6 @@ def rolling_window(sf_dir: str, window: int = 3) -> ray.data.Dataset:
                 "cents": pc.cast(
                     pc.round(pc.multiply(b["value"], 100.0), ndigits=0), pa.int64()
                 ),
-                "bucket": _bucket_of(b, "user_id", n_buckets),
             }
         )
 
@@ -880,9 +829,7 @@ def rolling_window(sf_dir: str, window: int = 3) -> ray.data.Dataset:
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"]).map_batches(
         prep, batch_format="pyarrow", zero_copy_batch=True
     )
-    return ds.groupby("bucket").map_groups(fold, batch_format="pyarrow").select_columns(
-        ["user_id", "event_id", "roll_sum_cents"]
-    )
+    return fold_by_part(ds, "user_id", fold)
 
 
 def _key_membership_join(sf_dir: str, keep_members: bool) -> ray.data.Dataset:
@@ -1229,14 +1176,12 @@ def string_agg_sorted(sf_dir: str) -> ray.data.Dataset:
     bounds the shuffle to unique (user, type) pairs; the join runs in
     map_groups over each user's handful of types."""
 
-    n_buckets = _join_parts()
-
     def pre(b: pa.Table) -> pa.Table:
         return b.group_by(["user_id", "event_type"]).aggregate([])
 
     def agg(g: pa.Table) -> pa.Table:
-        # one call per coarse bucket: sort once, join each user run —
-        # the joins are O(output) work either way; what the bucket
+        # one call per coarse part: sort once, join each user run —
+        # the joins are O(output) work either way; what the part
         # removes is the per-user group dispatch
         t = g.sort_by([("user_id", "ascending"), ("event_type", "ascending")])
         starts, counts = run_segments(t["user_id"].combine_chunks().to_numpy())
@@ -1249,20 +1194,13 @@ def string_agg_sorted(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
+    distinct = (
         _read(sf_dir, "events", ["user_id", "event_type"])
         .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["user_id", "event_type"])
         .aggregate(Count(alias_name="_n"))  # global distinct; count dropped
-        .map_batches(
-            lambda b: b.append_column("bucket", _bucket_of(b, "user_id", n_buckets)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("bucket")
-        .map_groups(agg, batch_format="pyarrow")
-        .select_columns(["user_id", "types"])
     )
+    return fold_by_part(distinct, "user_id", agg)
 
 
 # --------------------------------------------------------------------------
@@ -1404,34 +1342,16 @@ def paragraph_dedup(sf_dir: str, chunk_words: int = 8) -> ray.data.Dataset:
     per-doc digest.  Output (doc_id, n_kept, kept_digest) is
     value-checked against a DuckDB window-function oracle (the digest
     is the house SQL-reproducible polynomial fold)."""
-    from ..stages.kernels import hash_partition_ids
-
-    P = max(4, int(ray.cluster_resources().get("CPU", 4)))
-
-    def pre(b: pa.Table) -> pa.Table:
-        rows = TX.first_occurrence_fold(TX.paragraph_chunk_rows(b, chunk_words))
-        return rows.append_column(
-            "part", pa.array(hash_partition_ids(rows["chunk"], P).astype(np.int64))
-        )
-
-    def doc_tag(b: pa.Table) -> pa.Table:
-        from ..functions.hashing import mix64
-
-        rows = TX.chunk_hash_rows(b)
-        d = rows["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (mix64(d.astype(np.uint64)) % np.uint64(P)).astype(np.int64)
-        return rows.append_column("part", pa.array(part))
-
     chunks = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        pre, batch_format="pyarrow", zero_copy_batch=True
+        lambda b: TX.first_occurrence_fold(TX.paragraph_chunk_rows(b, chunk_words)),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    winners = chunks.groupby("part").map_groups(
-        TX.first_occurrence_fold, batch_format="pyarrow"
+    winners = fold_by_part(chunks, "chunk", TX.first_occurrence_fold)
+    hashed = winners.map_batches(
+        TX.chunk_hash_rows, batch_format="pyarrow", zero_copy_batch=True
     )
-    hashed = winners.map_batches(doc_tag, batch_format="pyarrow", zero_copy_batch=True)
-    return hashed.groupby("part").map_groups(
-        TX.doc_chunk_digest_fold, batch_format="pyarrow"
-    )
+    return fold_by_part(hashed, "doc_id", TX.doc_chunk_digest_fold)
 
 
 # --------------------------------------------------------------------------
@@ -1453,22 +1373,10 @@ def _consolidate_small(
 
 
 def _pairs_from_buckets(bucketed: ray.data.Dataset, keys: list[str]) -> ray.data.Dataset:
-    """Bucket rows → distinct candidate pairs.  The per-bucket
-    ``map_groups(bucket_pairs_group)`` path measured 718 s cumulative
-    at 10^6 docs (one Python call per bucket); hash-partitioning the
-    bucket key and folding each partition vectorized replaces millions
-    of group calls with P."""
-    P = max(4, 2 * int(ray.cluster_resources().get("CPU", 4)))
-    pairs = bucketed.map_batches(
-        D.bucket_part_tag(keys, P), batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("part").map_groups(
-        lambda g: D.bucket_pairs_partition(g, keys), batch_format="pyarrow"
-    )
-    # distinct pairs (a doc pair may collide in several bands)
-    return (
-        pairs.groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="n_buckets"))
-        .select_columns(["doc_a", "doc_b"])
+    """Bucket rows → distinct candidate pairs (a doc pair may collide
+    in several bands)."""
+    return D.bucket_pair_counts(bucketed, keys, "n_buckets").select_columns(
+        ["doc_a", "doc_b"]
     )
 
 
@@ -1842,19 +1750,7 @@ def minhash_recall(sf_dir: str, threshold: float = 0.8, floor: float = 0.9) -> p
         sf_dir,
         "documents",
     ).materialize()
-    P = max(4, 2 * int(ray.cluster_resources().get("CPU", 4)))
-    inter = (
-        grams.map_batches(
-            D.bucket_part_tag(["gram"], P), batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: D.bucket_pairs_partition(g, ["gram"], max_bucket=1 << 20),
-            batch_format="pyarrow",
-        )
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="ni"))
-    )
+    inter = D.bucket_pair_counts(grams, ["gram"], "ni", max_bucket=1 << 20)
     sizes = grams.groupby("doc_id").aggregate(Count(alias_name="n"))
     sz_ids, sz_ns = [], []
     for t in sizes.iter_batches(batch_format="pyarrow"):  # O(docs) int64 rows
@@ -1930,19 +1826,7 @@ def gram_containment(sf_dir: str, k: int = 8, tau: float = 0.9) -> ray.data.Data
         sf_dir,
         "documents",
     ).materialize()
-    P = max(4, 2 * int(ray.cluster_resources().get("CPU", 4)))
-    inter = (
-        grams.map_batches(
-            D.bucket_part_tag(["gram"], P), batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: D.bucket_pairs_partition(g, ["gram"], max_bucket=1 << 20),
-            batch_format="pyarrow",
-        )
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="ni"))
-    )
+    inter = D.bucket_pair_counts(grams, ["gram"], "ni", max_bucket=1 << 20)
     sizes = grams.groupby("doc_id").aggregate(Count(alias_name="n"))
     sz_ids, sz_ns = [], []
     for t in sizes.iter_batches(batch_format="pyarrow"):  # O(docs) int64 rows
@@ -2393,13 +2277,9 @@ def tf_idf_top_terms(sf_dir: str, k: int = 3) -> ray.data.Dataset:
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
         return t.filter(pa.array(np.arange(n) - run_start < k))
 
-    from ..stages.kernels import hash_partition_ids
-
-    P = _join_parts()
-
     def final(g: pa.Table) -> pa.Table:
-        # one call per coarse bucket: sort the bucket once, positional
-        # rank within each doc run — O(buckets) dispatch, not O(docs)
+        # one call per coarse part: sort the part once, positional
+        # rank within each doc run — O(parts) dispatch, not O(docs)
         t = g.sort_by(
             [("doc_id", "ascending"), ("tfidf", "descending"), ("word", "ascending")]
         )
@@ -2413,15 +2293,8 @@ def tf_idf_top_terms(sf_dir: str, k: int = 3) -> ray.data.Dataset:
         t = t.append_column("rank", pa.array(pos + 1, pa.int64()))
         return t.filter(pa.array(pos < k))
 
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "bucket", pa.array(hash_partition_ids(b["doc_id"], P))
-        )
-
-    pre = j.map_batches(score, batch_format="pyarrow", zero_copy_batch=True).map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return pre.groupby("bucket").map_groups(final, batch_format="pyarrow").select_columns(
+    pre = j.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
+    return fold_by_part(pre, "doc_id", final).select_columns(
         ["doc_id", "word", "tfidf", "rank"]
     )
 
@@ -2628,18 +2501,8 @@ def dedup_clusters(sf_dir: str, k: int = 8, max_gram_docs: int = 16) -> ray.data
     # shuffle; campaign A/B at 10^6 docs: 450 s → 104 s (8 CPUs) /
     # 76 s (32 CPUs), planted-structure-exact (BASELINE.md round-4
     # campaign).
-    P = max(4, 2 * int(ray.cluster_resources().get("CPU", 4)))
-    pairs = grams.map_batches(
-        D.bucket_part_tag(["gram"], P), batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("part").map_groups(
-        lambda g: D.bucket_pairs_partition(g, ["gram"], max_bucket=max_gram_docs),
-        batch_format="pyarrow",
-    )
-    edges = _pairs_norm(
-        pairs.groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="n_grams"))
-        .select_columns(["doc_a", "doc_b"])
-    ).map_batches(
+    pairs = D.bucket_pair_counts(grams, ["gram"], "n_grams", max_bucket=max_gram_docs)
+    edges = _pairs_norm(pairs.select_columns(["doc_a", "doc_b"])).map_batches(
         lambda b: pa.table({"u": b["doc_a"], "v": b["doc_b"]}),
         batch_format="pyarrow",
         zero_copy_batch=True,
@@ -2899,11 +2762,25 @@ def ann_ivf_topk(
     return final.select_columns(["q_id", "vec_id", "rank"])
 
 
+def _lsh_bucket_pairs(buckets: ray.data.Dataset, threshold: float) -> ray.data.Dataset:
+    """(id_a, id_b, cos) within every (table, bucket): one
+    ``fold_by_part`` on the bucket key, then ``bucket_pairs_verify`` per
+    bucket inside each part."""
+    keys = ["table", "bucket"]
+    return fold_by_part(
+        buckets,
+        keys,
+        lambda g: S.part_pairs_verify(
+            g, keys, lambda b: S.bucket_pairs_verify(b, threshold=threshold)
+        ),
+    )
+
+
 def ann_lsh_pairs(sf_dir: str, threshold: float = 0.3) -> ray.data.Dataset:
     """LSH-bucketed near-dup (the 100 TB path): hyperplane sketch →
-    bucket groupby (embeddings ride the shuffle, duplicated n_tables×)
-    → within-bucket exact cosine on the GROUP'S OWN rows.  No stage
-    holds more than one bucket; nothing broadcasts the corpus.
+    bucket shuffle (embeddings ride it, duplicated n_tables×) →
+    within-bucket exact cosine on the BUCKET'S OWN rows.  No verify
+    call holds more than one bucket; nothing broadcasts the corpus.
     Approximate — recall vs ``embedding_dedup`` is asserted in tests.
 
     ``bits`` SCALES with the corpus (≈ n/512 buckets per table, footer
@@ -2924,10 +2801,7 @@ def ann_lsh_pairs(sf_dir: str, threshold: float = 0.3) -> ray.data.Dataset:
         concurrency=_conc(),
     )
     buckets = _consolidate_small(buckets, sf_dir, "embeddings")
-    pairs = buckets.groupby(["table", "bucket"]).map_groups(
-        lambda g: S.bucket_pairs_verify(g, threshold=threshold),
-        batch_format="pyarrow",
-    )
+    pairs = _lsh_bucket_pairs(buckets, threshold)
     # a pair may surface from several tables — dedupe
     return (
         pairs.groupby(["id_a", "id_b"])
@@ -2996,11 +2870,7 @@ def ann_lsh_recall(sf_dir: str, floor: float = 0.9) -> pa.Table:
     )
     got = {
         (r["id_a"], r["id_b"])
-        for r in buckets.groupby(["table", "bucket"])
-        .map_groups(
-            lambda g: S.bucket_pairs_verify(g, threshold=threshold),
-            batch_format="pyarrow",
-        )
+        for r in _lsh_bucket_pairs(buckets, threshold)
         .groupby(["id_a", "id_b"])
         .aggregate(Max("cos", alias_name="cos"))
         .take_all()
@@ -3059,9 +2929,12 @@ def semdedup_pairs(
         zero_copy_batch=True,
         concurrency=_conc(),
     )
-    pairs = buckets.groupby("cluster").map_groups(
-        lambda g: S.cluster_pairs_verify(g, threshold=threshold),
-        batch_format="pyarrow",
+    pairs = fold_by_part(
+        buckets,
+        "cluster",
+        lambda g: S.part_pairs_verify(
+            g, ["cluster"], lambda c: S.cluster_pairs_verify(c, threshold)
+        ),
     )
     # a pair may surface from both probed clusters — dedupe
     return (
@@ -3820,9 +3693,8 @@ def snapshot_diff(eng, base_epoch: int) -> ray.data.Dataset:
     w_head = eng.history()[0]["watermark_lsn"]  # newest first
     w0 = _load_epoch(eng.table_root, base_epoch).watermark_lsn
     if w0 >= w_head:
-        # base IS the head: nothing changed — changes_between's empty
-        # result carries only (op, lsn), so short-circuit with the full
-        # diff schema instead of projecting missing fields (r3 advice)
+        # base IS the head: nothing changed — answer the empty diff
+        # without running the feed, join and classify passes
         return ray.data.from_arrow(
             pa.table(
                 {
@@ -3832,27 +3704,19 @@ def snapshot_diff(eng, base_epoch: int) -> ray.data.Dataset:
                 }
             )
         )
-    from ..stages.kernels import hash_partition_ids
-
-    P = _join_parts()
     feed = eng.changes_between(w0, w_head).select_columns(
         ["doc_id", "op", "lsn", "n_tok"]
     )
+    def latest(t: pa.Table) -> pa.Table:
+        return argmax_per_key(t, "doc_id", ["lsn"])
 
-    def pre_reduce(b: pa.Table) -> pa.Table:
-        # block-local latest-per-doc, then a coarse hash bucket so the
-        # final argmax runs O(buckets) vectorized folds, not O(docs)
-        t = argmax_per_key(b, "doc_id", ["lsn"])
-        return t.append_column("bucket", pa.array(hash_partition_ids(t["doc_id"], P)))
-
-    winners = (
-        feed.map_batches(pre_reduce, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(
-            lambda g: argmax_per_key(g, "doc_id", ["lsn"]), batch_format="pyarrow"
-        )
-        .select_columns(["doc_id", "op", "lsn", "n_tok"])
-    )
+    # block-local latest-per-doc, then the final argmax as O(parts)
+    # vectorized folds, not O(docs)
+    winners = fold_by_part(
+        feed.map_batches(latest, batch_format="pyarrow", zero_copy_batch=True),
+        "doc_id",
+        latest,
+    ).select_columns(["doc_id", "op", "lsn", "n_tok"])
     base_ids = eng.snapshot_dataset(epoch=base_epoch, columns=["doc_id"]).map_batches(
         lambda b: b.append_column("in_base", pa.array(np.ones(len(b), np.int64))),
         batch_format="pyarrow",
@@ -4128,17 +3992,8 @@ def cdc_token_dedup(sf_dir: str) -> ray.data.Dataset:
         TX.token_fingerprints_batch, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    from ..functions.hashing import mix64
-
-    P = _join_parts()
-
-    def tag(b: pa.Table) -> pa.Table:
-        fp = b["fp"].combine_chunks().to_numpy(zero_copy_only=False)
-        part = (mix64(fp.view(np.uint64)) % np.uint64(P)).astype(np.int32)
-        return b.append_column("bucket", pa.array(part))
-
     def survivor_groups(g: pa.Table) -> pa.Table:
-        # one vectorized fold per fp-hash bucket (not per fingerprint):
+        # one vectorized fold per fp-hash part (not per fingerprint):
         # sort (fp, doc_id), first of each run is the min-doc survivor
         t = g.sort_by([("fp", "ascending"), ("doc_id", "ascending")])
         starts, counts = run_segments(t["fp"].combine_chunks().to_numpy())
@@ -4151,12 +4006,7 @@ def cdc_token_dedup(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        parts.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(survivor_groups, batch_format="pyarrow")
-        .select_columns(["survivor", "n_copies", "n_tok"])
-    )
+    return fold_by_part(parts, "fp", survivor_groups)
 
 
 def cdc_span_overlap(
@@ -4218,20 +4068,7 @@ def cdc_span_overlap(
     gram_rows = ds.map_batches(
         grams, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-    P = max(4, 2 * int(ray.cluster_resources().get("CPU", 4)))
-    return (
-        gram_rows.map_batches(
-            D.bucket_part_tag(["gram"], P), batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("part")
-        .map_groups(
-            lambda g: D.bucket_pairs_partition(g, ["gram"], max_bucket=max_gram_docs),
-            batch_format="pyarrow",
-        )
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="n_shared"))
-        .select_columns(["doc_a", "doc_b", "n_shared"])
-    )
+    return D.bucket_pair_counts(gram_rows, ["gram"], "n_shared", max_bucket=max_gram_docs)
 
 
 def cdc_span_scrub(sf_dir: str, k: int = 8) -> ray.data.Dataset:
@@ -4272,7 +4109,6 @@ def span_scrub_engine(eng, k: int = 8) -> ray.data.Dataset:
     from ..functions.hashing import mix64, shingle_hashes
 
     ds = eng.snapshot_dataset(columns=["doc_id", "tokens"])
-    P = max(4, 2 * int(ray.cluster_resources().get("CPU", 4)))
 
     def emit_occ(b: pa.Table, k=k) -> pa.Table:
         toks = b["tokens"]
@@ -4331,13 +4167,10 @@ def span_scrub_engine(eng, k: int = 8) -> ray.data.Dataset:
         return pa.table({"doc_id": t["doc_id"].filter(pa.array(keep)),
                          "v": t["v"].filter(pa.array(keep))})
 
-    scrub = (
-        ds.map_batches(emit_occ, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(
-            D.bucket_part_tag(["g"], P), batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("part")
-        .map_groups(scrubbed, batch_format="pyarrow")
+    scrub = fold_by_part(
+        ds.map_batches(emit_occ, batch_format="pyarrow", zero_copy_batch=True),
+        "g",
+        scrubbed,
     )
 
     def cover(grp: pa.Table, k=k) -> pa.Table:
@@ -4384,21 +4217,10 @@ def span_scrub_engine(eng, k: int = 8) -> ray.data.Dataset:
 
         return fn
 
-    return (
-        base.map_batches(tag_kind(0), batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            scrub.map_batches(
-                tag_kind(1), batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
-        .map_batches(
-            D.bucket_part_tag(["doc_id"], P),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("part")
-        .map_groups(cover, batch_format="pyarrow")
-    )
+    both = base.map_batches(
+        tag_kind(0), batch_format="pyarrow", zero_copy_batch=True
+    ).union(scrub.map_batches(tag_kind(1), batch_format="pyarrow", zero_copy_batch=True))
+    return fold_by_part(both, "doc_id", cover)
 
 
 def cdc_inverted_index(sf_dir: str) -> ray.data.Dataset:
@@ -4766,7 +4588,6 @@ def lead_lag(sf_dir: str) -> ray.data.Dataset:
     shuffle, then a single lexsort per bucket; per-user gap sums
     telescope to last-minus-first timestamp, per-user gap maxima come
     from ``np.maximum.reduceat`` with cross-user diffs masked out."""
-    n_buckets = _join_parts()
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -4774,7 +4595,6 @@ def lead_lag(sf_dir: str) -> ray.data.Dataset:
                 "user_id": b["user_id"],
                 "ts_us": pc.cast(b["ts"], pa.int64()),
                 "event_id": b["event_id"],
-                "bucket": _bucket_of(b, "user_id", n_buckets),
             }
         )
 
@@ -4810,9 +4630,7 @@ def lead_lag(sf_dir: str) -> ray.data.Dataset:
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"]).map_batches(
         prep, batch_format="pyarrow", zero_copy_batch=True
     )
-    return ds.groupby("bucket").map_groups(fold, batch_format="pyarrow").select_columns(
-        ["user_id", "n_gaps", "max_gap_us", "sum_gap_us"]
-    )
+    return fold_by_part(ds, "user_id", fold)
 
 
 def running_total(sf_dir: str) -> ray.data.Dataset:
@@ -4821,7 +4639,6 @@ def running_total(sf_dir: str) -> ray.data.Dataset:
     rebased cumsum over every customer in the bucket (subtract the
     cumulative total at each customer's segment start) — exact integer
     cents, no global sort, no per-customer Python dispatch."""
-    n_buckets = _join_parts()
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -4833,7 +4650,6 @@ def running_total(sf_dir: str) -> ray.data.Dataset:
                     pc.round(pc.multiply(b["o_totalprice"], 100.0), ndigits=0),
                     pa.int64(),
                 ),
-                "bucket": _bucket_of(b, "o_custkey", n_buckets),
             }
         )
 
@@ -4858,9 +4674,7 @@ def running_total(sf_dir: str) -> ray.data.Dataset:
     ds = _read(
         sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"]
     ).map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    return ds.groupby("bucket").map_groups(fold, batch_format="pyarrow").select_columns(
-        ["o_custkey", "o_orderkey", "running_cents"]
-    )
+    return fold_by_part(ds, "o_custkey", fold)
 
 
 def pivot_status(sf_dir: str) -> ray.data.Dataset:
@@ -4930,21 +4744,13 @@ def funnel_depth(sf_dir: str) -> ray.data.Dataset:
     O(rows · stages) with no per-user Python; bucket count scales with
     the cluster, per-bucket state is O(users_in_bucket) int64s."""
     STAGES = ["view", "click", "purchase"]
-    n_buckets = _join_parts()
 
     def prep(b: pa.Table) -> pa.Table:
         st = pc.index_in(b["event_type"], value_set=pa.array(STAGES))
         keep = pc.is_valid(st)
-        uid = pc.filter(b["user_id"], keep).combine_chunks()
         return pa.table(
             {
-                "user_id": uid,
-                "bucket": pc.cast(
-                    pc.bit_wise_and(uid, n_buckets - 1)
-                    if (n_buckets & (n_buckets - 1)) == 0
-                    else pa.array(uid.to_numpy() % n_buckets),
-                    pa.int32(),
-                ),
+                "user_id": pc.filter(b["user_id"], keep),
                 "ts_us": pc.filter(pc.cast(b["ts"], pa.int64()), keep),
                 "stage": pc.cast(pc.filter(st, keep), pa.int8()),
             }
@@ -4975,9 +4781,7 @@ def funnel_depth(sf_dir: str) -> ray.data.Dataset:
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
         prep, batch_format="pyarrow", zero_copy_batch=True
     )
-    return ds.groupby("bucket").map_groups(
-        fold, batch_format="pyarrow"
-    ).select_columns(["user_id", "funnel_depth"])
+    return fold_by_part(ds, "user_id", fold)
 
 
 def heavy_hitters(sf_dir: str) -> ray.data.Dataset:

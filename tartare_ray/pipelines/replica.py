@@ -45,6 +45,7 @@ import json
 import os
 import shutil
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..state.manifest import (
@@ -94,6 +95,23 @@ def _marker_matches(final: str, epoch: int, ident: str, generation: int) -> bool
     )
 
 
+def _write_feed(final: str, feed, marker: dict) -> None:
+    """One feed directory, tmp + rename: the feed's Parquet files and
+    its ``_source.json`` marker."""
+    tmp = final + ".inprogress"
+    shutil.rmtree(tmp, ignore_errors=True)
+    feed.write_parquet(tmp)
+    # empty feeds (compaction-only epochs) and zero-row files
+    # would break footer-range listing — drop them
+    for n in list(os.listdir(tmp)):
+        p = os.path.join(tmp, n)
+        if not n.endswith(".parquet") or pq.ParquetFile(p).metadata.num_rows == 0:
+            os.remove(p)
+    with open(os.path.join(tmp, "_source.json"), "w") as f:
+        json.dump(marker, f)
+    os.rename(tmp, final)
+
+
 def _prev_watermark(src: CdcEngine, m: Manifest) -> int:
     if m.parent_watermark_lsn is not None:
         return m.parent_watermark_lsn
@@ -117,9 +135,30 @@ def sync_replica(
     log_root = os.path.join(dest_work, "log")
     replica_root = os.path.join(dest_work, "table")
     os.makedirs(log_root, exist_ok=True)
-    src.subscribe(consumer_id)
+    cursor = src.subscribe(consumer_id)
     gen = load_generation(src.table_root)
     divergence_bounds: list[int] = []
+    later = [e for e in list_committed_epochs(src.table_root) if e > cursor]
+    if later and later[0] != cursor + 1:
+        # the source aged past the cursor (a replica first synced after
+        # gc_epochs): the missing epochs' feeds are gone, so seed the
+        # replica with the snapshot at the oldest retained epoch, every
+        # row an update at that epoch's watermark
+        e = later[0]
+        m = load_epoch(src.table_root, e)
+        wm = int(m.watermark_lsn)
+
+        def as_updates(b: pa.Table) -> pa.Table:
+            b = b.add_column(0, "lsn", pa.array([wm] * len(b), pa.int64()))
+            return b.add_column(0, "op", pa.array(["U"] * len(b), pa.string()))
+
+        seed = src.snapshot_dataset(epoch=e).map_batches(
+            as_updates, batch_format="pyarrow", zero_copy_batch=True
+        )
+        final = os.path.join(log_root, f"feed-e{e:06d}")
+        shutil.rmtree(final, ignore_errors=True)
+        _write_feed(final, seed, {"epoch": e, "identity": _epoch_identity(m), "generation": gen})
+        src.ack_changes(consumer_id, e)
     for e, feed in src.consume(consumer_id):
         m = load_epoch(src.table_root, e)
         ident = _epoch_identity(m)
@@ -130,18 +169,7 @@ def sync_replica(
                 # content: the replica holds discarded data past here
                 divergence_bounds.append(_prev_watermark(src, m))
                 shutil.rmtree(final)
-            tmp = final + ".inprogress"
-            shutil.rmtree(tmp, ignore_errors=True)
-            feed.write_parquet(tmp)
-            # empty feeds (compaction-only epochs) and zero-row files
-            # would break footer-range listing — drop them
-            for n in list(os.listdir(tmp)):
-                p = os.path.join(tmp, n)
-                if not n.endswith(".parquet") or pq.ParquetFile(p).metadata.num_rows == 0:
-                    os.remove(p)
-            with open(os.path.join(tmp, "_source.json"), "w") as f:
-                json.dump({"epoch": e, "identity": ident, "generation": gen}, f)
-            os.rename(tmp, final)
+            _write_feed(final, feed, {"epoch": e, "identity": ident, "generation": gen})
         src.ack_changes(consumer_id, e)
     # feed dirs beyond the source's retained head: epochs a rollback
     # discarded and replay has not (yet) re-committed

@@ -8,9 +8,9 @@ per-epoch change feed alone:
                    - contribution of the doc's PREVIOUS state
 
 ``EpochDeltaView`` runs that one pass for every view.  Feed rows
-(``changes_dataset(epoch)``) are tagged with their hash partition under
-the PARENT manifest's partition count, and one task per TOUCHED
-partition resolves the previous state of its keys against that
+(``changes_dataset(epoch)``) go through ``fold_by_part`` on doc_id with
+the PARENT manifest's partition count — the table's own routing — and
+one call per TOUCHED partition resolves the previous state of its keys against that
 partition's parent chain via ``lookup_keys_in_chain`` — a newest-first
 suffix scan reading only (doc_id, group, value) + envelope columns that
 stops once every key is resolved, so hot keys resolve in the newest
@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state.manifest import load_current, load_epoch
-from ..stages.kernels import hash_partition_ids
+from ..stages.kernels import fold_by_part
 
 NULL_GROUP = "\x00null"  # state key of a null group value
 
@@ -66,10 +66,6 @@ def _agg_contrib(groups: np.ndarray, sums: np.ndarray, sign: int) -> dict[str, l
         m = groups == g
         out[str(g)] = [sign * int(m.sum()), sign * float(np.nansum(sums[m]))]
     return out
-
-
-def _tag_part(b: pa.Table, num_partitions: int) -> pa.Table:
-    return b.append_column("part", pa.array(hash_partition_ids(b["doc_id"], num_partitions)))
 
 
 def _part_delta(
@@ -159,17 +155,7 @@ class EpochDeltaView:
                 type(self)._reduce, **{k: getattr(self, k) for k in self._reduce_kw}
             ),
         )
-        return (
-            eng.changes_dataset(epoch)
-            .map_batches(
-                functools.partial(_tag_part, num_partitions=P),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            .groupby("part")
-            .map_groups(per_part, batch_format="pyarrow")
-            .take_all()
-        )
+        return fold_by_part(eng.changes_dataset(epoch), "doc_id", per_part, P).take_all()
 
     # -- public ------------------------------------------------------------
     def update_to(self, epoch: int | None = None) -> dict:

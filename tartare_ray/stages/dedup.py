@@ -10,8 +10,8 @@ Shape of every pipeline (see ``pipelines/queries.py``):
 
     documents ──map_batches(SignatureStage)──▶ (doc_id, sig…)
         ──map_batches(explode bands/blocks)──▶ (bucket, doc_id)
-        ──groupby(bucket).map_groups(pairs)──▶ candidate (doc_a, doc_b)
-        ──groupby(pair).first──▶ distinct pairs
+        ──fold_by_part(bucket, bucket_pairs_partition)──▶ candidate (doc_a, doc_b)
+        ──groupby(pair).count──▶ distinct pairs
         ──map_batches(VerifyStage, broadcast signatures)──▶ confirmed
 
 Scale notes (100 TB): the candidate-pair groupby is the only
@@ -187,41 +187,29 @@ def simhash_blocks_from_sigs_batch(batch: pa.Table, blocks: int) -> pa.Table:
     )
 
 
-def bucket_part_tag(keys: list[str], num_parts: int):
-    """Batch fn appending ``part`` = hash of the bucket-key columns mod
-    ``num_parts`` — co-locates each LSH bucket on one partition so pair
-    expansion runs as ``num_parts`` vectorized partition folds
-    (``bucket_pairs_partition``) instead of one Python call per bucket."""
-    from ..functions.hashing import mix64
+def bucket_pair_counts(bucketed, keys: list[str], alias: str, max_bucket: int = 256):
+    """Bucket rows (``keys`` + doc_id) → (doc_a, doc_b, ``alias``):
+    every doc pair that shares a bucket, with the number of buckets it
+    shares (for gram buckets, |A∩B|).  One ``fold_by_part`` on the
+    bucket key co-locates each bucket, so pair expansion runs as P
+    vectorized part folds (``bucket_pairs_partition``) instead of one
+    Python call per bucket."""
+    from ray.data.aggregate import Count
 
-    def tag(b: pa.Table) -> pa.Table:
-        from ..stages.kernels import key_hash
+    from .kernels import fold_by_part
 
-        h = np.zeros(len(b), np.uint64)
-        for k in keys:
-            col = b[k]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            if pa.types.is_integer(col.type):
-                v = col.to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64)
-            else:  # arbitrary string keys (e.g. non-numeric doc_ids)
-                v = key_hash(col)
-            h = mix64(h ^ v)
-        return b.append_column(
-            "part", pa.array((h % np.uint64(num_parts)).astype(np.int64))
-        )
-
-    return tag
+    return fold_by_part(
+        bucketed, keys, lambda g: bucket_pairs_partition(g, keys, max_bucket=max_bucket)
+    ).groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name=alias))
 
 
 def bucket_pairs_partition(
     part: pa.Table, keys: list[str], max_bucket: int = 256
 ) -> pa.Table:
     """All (doc_a < doc_b) pairs within EVERY LSH bucket of one
-    hash-partition — the vectorized replacement for per-bucket
-    ``groupby(keys).map_groups(bucket_pairs_group)`` (millions of
-    buckets → millions of Python invocations; measured 718 s cumulative
-    at 10^6 docs).  One lexsort + run detection per partition, pair
+    ``fold_by_part`` part — the vectorized replacement for one Python
+    call per bucket (millions of buckets → millions of invocations;
+    measured 718 s cumulative at 10^6 docs).  One lexsort + run detection per partition, pair
     expansion batched by distinct run length (≤ max_bucket distinct
     lengths, each fully vectorized).  Semantics identical to the
     per-group path: duplicate (bucket, doc) rows collapse, buckets

@@ -49,6 +49,53 @@ def add_hash_partition_column(
     return tbl
 
 
+def part_ids(tbl: pa.Table, keys: list[str], n_parts: int) -> np.ndarray:
+    """Partition id of every row: the hash of the ``keys`` columns mod
+    ``n_parts``.  Integer columns hash through mix64 (raw ``k % n``
+    collapses structured id spaces — all-even or stride-allocated ids —
+    into a few giant parts); any other column through ``key_hash``, so
+    one string key gives exactly ``hash_partition_ids``, the table's
+    persisted routing.  Further keys fold in as ``mix64(h ^ v)``."""
+    from ..functions.hashing import mix64
+
+    h = None
+    for k in keys:
+        col = tbl[k]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        if pa.types.is_integer(col.type):
+            v = mix64(col.to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64))
+        else:
+            v = key_hash(col)
+        h = v if h is None else mix64(h ^ v)
+    return (h % np.uint64(n_parts)).astype(np.int32)
+
+
+def fold_by_part(ds, keys: str | list[str], fn, n_parts: int | None = None):
+    """The one hash-partition fold: tag every row with ``part`` =
+    ``part_ids(keys, n_parts)``, then call ``fn(part_rows)`` once per
+    non-empty part, ``part`` column included.  Every row of a key
+    reaches the same call, so ``fn`` folds all of a part's keys in one
+    vectorized pass — O(parts) Python calls, not O(keys), and no single
+    key's history must fit a group of its own."""
+    import ray
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    # default: two parts per CPU, floor 4 — enough that one hot part
+    # does not serialize the fold, few enough that each call folds a
+    # vectorized batch of keys
+    n_parts = n_parts or max(4, 2 * int(ray.cluster_resources().get("CPU", 4)))
+
+    def tag(b: pa.Table) -> pa.Table:
+        return b.append_column("part", pa.array(part_ids(b, keys, n_parts)))
+
+    return (
+        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("part")
+        .map_groups(fn, batch_format="pyarrow")
+    )
+
+
 def _first_occurrence_mask(arr: pa.Array) -> pa.BooleanArray:
     """True at the first row of each run of equal values (arr must be
     sorted so equal values are adjacent)."""

@@ -46,8 +46,10 @@ def l2_normalize(m: np.ndarray) -> np.ndarray:
 class BruteForceTopKStage:
     """Per-batch partial top-k: emits (q_id, vec_id, cos) candidate
     rows — ≤ k per query per batch — for a final per-query reduce
-    (``groupby(q_id).map_groups(topk_group)``).  Exact, streaming, and
-    the per-query candidate volume is k × n_batches regardless of N."""
+    (``groupby(q_id).map_groups(topk_group)``: a natural-key fold over
+    the few queries, one call each — not a hash-part fold, so it stays
+    off ``fold_by_part``).  Exact, streaming, and the per-query
+    candidate volume is k × n_batches regardless of N."""
 
     def __init__(self, queries_ref, k: int):
         self.q_ids, q = ray.get(queries_ref)  # (m,), (m, d) L2-normalized
@@ -709,3 +711,20 @@ def cluster_pairs_verify(
             "cos": pa.array(np.concatenate(out_c)),
         }
     )
+
+
+def part_pairs_verify(part: pa.Table, keys: list[str], verify) -> pa.Table:
+    """One ``fold_by_part`` part → ``verify(group)`` for each of its
+    groups (runs of equal ``keys``: a cluster, or an LSH (table,
+    bucket)) — one sort per part, so a query makes O(parts) Ray groups
+    instead of one per cluster or bucket (~n/512 of them)."""
+    t = part.sort_by([(k, "ascending") for k in keys])
+    new = np.zeros(len(t), bool)
+    new[:1] = True
+    for k in keys:
+        a = t[k].combine_chunks().to_numpy()
+        new[1:] |= a[1:] != a[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(t)))
+    out = [verify(t.slice(s, c)) for s, c in zip(starts, counts) if c >= 2]
+    return pa.concat_tables(out) if out else verify(t.slice(0, 0))

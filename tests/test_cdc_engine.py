@@ -667,6 +667,27 @@ def test_history_and_changes_between(ray_session, tmp_path):
         eng.changes_between(100, 5999)
 
 
+def test_empty_changes_between_has_feed_schema(ray_session, tmp_path):
+    """An empty audit range returns the same columns as a non-empty
+    one: the (op, lsn) envelope plus the snapshot columns, exactly the
+    schema ``changes_dataset`` serves."""
+    generate_log(
+        str(tmp_path / "log"), GenConfig(n_events=600, n_docs=50, events_per_file=300)
+    )
+    eng = CdcEngine(
+        str(tmp_path / "log"),
+        str(tmp_path / "t"),
+        EngineConfig(num_partitions=2, epoch_max_files=1),
+    )
+    head = eng.replay()
+    want = eng.changes_dataset(head.epoch).schema()
+    w = head.watermark_lsn
+    for ds in (eng.changes_between(w, w), eng.changes_between(w, w + 100)):
+        got = ds.schema()
+        assert ds.count() == 0
+        assert (got.names, got.types) == (want.names, want.types)
+
+
 def test_poison_schema_file_truncates_then_fails_loudly(ray_session, tmp_path):
     """An incompatible schema change (tokens int->string) must not
     crash the whole plan or skip events: epochs below the poison file

@@ -18,6 +18,7 @@ import pytest
 from tartare_ray.pipelines.cdc import CdcEngine, EngineConfig
 from tartare_ray.pipelines.dedup_index import TokenDedupIndex
 from tartare_ray.pipelines.inverted_index import InvertedIndex
+from tartare_ray.pipelines.minhash_index import MinHashIndex
 from tartare_ray.schema import CHANGE_SCHEMA
 
 
@@ -381,3 +382,46 @@ def test_crashed_rebuild_keeps_tripwire_armed(ray_session, tmp_path):
     fresh = TokenDedupIndex(eng, name="fresh-crash")
     fresh.update()
     assert _fps(idx) == _fps(fresh)
+
+
+def _rows(idx) -> list[dict]:
+    t = pa.concat_tables(idx._live_rows().iter_batches(batch_format="pyarrow"))
+    return sorted(t.to_pylist(), key=lambda r: r["doc_id"])
+
+
+@pytest.mark.parametrize("index_cls", [TokenDedupIndex, InvertedIndex, MinHashIndex])
+def test_index_created_after_gc_serves_whole_snapshot(ray_session, tmp_path, index_cls):
+    """An index first built on an aged table (gc_epochs dropped epochs
+    it never consumed) must serve the whole snapshot, not only the docs
+    the retained epochs touched: it rebuilds from the snapshot at the
+    oldest retained epoch, then consumes the feed from there."""
+    from tartare_ray.state.manifest import gc_epochs, list_committed_epochs
+
+    log = str(tmp_path / "log")
+    for i, rows in enumerate(
+        [
+            [(1, "I", "a1", [1, 2, 3, 4]), (2, "I", "a2", [5, 6, 7, 8])],
+            [(3, "I", "b1", [1, 2, 3, 4])],
+            [(4, "I", "c1", [9, 9, 8, 7])],
+        ]
+    ):
+        _write_events(f"{log}/events-{i:06d}.parquet", rows)
+    eng = CdcEngine(
+        log, str(tmp_path / "tbl"), EngineConfig(num_partitions=2, epoch_max_files=1)
+    )
+    eng.replay()
+    full = index_cls(eng, name="full")
+    assert full.update() == [1, 2, 3]
+    want = _rows(full)
+    assert [r["doc_id"] for r in want] == ["a1", "a2", "b1", "c1"]
+
+    gc_epochs(eng.table_root, keep_last=1)
+    assert list_committed_epochs(eng.table_root) == [3]
+    aged = index_cls(eng, name="aged")
+    assert aged.update() == [3]
+    assert _rows(aged) == want
+
+    _write_events(f"{log}/events-000003.parquet", [(5, "D", "a1", None)])
+    eng.replay()
+    assert aged.update() == [4]
+    assert [r["doc_id"] for r in _rows(aged)] == ["a2", "b1", "c1"]

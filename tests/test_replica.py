@@ -54,6 +54,41 @@ def test_replica_tracks_source_incrementally(ray_session, tmp_path):
     _assert_eq(dest2.snapshot_table(), dest.snapshot_table())
 
 
+def test_replica_first_synced_after_gc_matches_source(ray_session, tmp_path):
+    """A replica first synced after ``gc_epochs`` dropped epochs it
+    never consumed must still hold the whole source table: it is seeded
+    from the snapshot at the oldest retained epoch, then follows the
+    feed from there."""
+    from tartare_ray.state.manifest import gc_epochs, list_committed_epochs
+
+    staging = str(tmp_path / "staging")
+    res = generate_log(
+        staging, GenConfig(n_events=8000, n_docs=400, events_per_file=2000)
+    )
+    log = str(tmp_path / "log")
+    os.makedirs(log)
+    for f in res.files[:3]:
+        shutil.copy(f, log)
+    src = CdcEngine(
+        log,
+        str(tmp_path / "src"),
+        EngineConfig(num_partitions=4, write_mode="delta", epoch_max_files=1),
+    )
+    src.replay()
+    gc_epochs(src.table_root, keep_last=1)
+    assert list_committed_epochs(src.table_root) == [3]
+
+    dest_work = str(tmp_path / "replica")
+    dest = sync_replica(src, dest_work)
+    _assert_eq(dest.snapshot_table(), src.snapshot_table())
+
+    shutil.copy(res.files[3], log)
+    src.replay()
+    dest = sync_replica(src, dest_work)
+    _assert_eq(dest.snapshot_table(), replay_oracle(res.files))
+    assert src.consumers()["replica-sync"] == 4
+
+
 def test_replica_redelivery_is_idempotent(ray_session, tmp_path):
     """A crash before ack re-delivers the epoch: force it by resetting
     the cursor — the feed dirs already exist, the replica replay is

@@ -94,8 +94,7 @@ def test_snapshot_diff_multi_epoch_folds_to_final_op(tmp_path, ray_session):
 
 def test_snapshot_diff_empty_range_returns_empty_schema(tmp_path, ray_session):
     """base == head is a valid call for a reusable diff surface: it
-    must return an EMPTY diff with the full schema, not crash on
-    changes_between's column-less empty feed (r3 advice fix)."""
+    must return an EMPTY diff with the full diff schema."""
     log_dir = str(tmp_path / "log")
     os.makedirs(log_dir)
     _write(log_dir, 0, [(1, "I", "A", [1]), (2, "I", "B", [2])])

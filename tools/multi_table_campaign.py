@@ -103,14 +103,7 @@ def run_level(n_events: int, cpus: int) -> None:
             t = b.filter(keep).select(["doc_id", "lsn", "op", "n_tok"])
             return latest_per_key(t, "doc_id", "lsn")
 
-        from tartare_ray.stages.kernels import hash_partition_ids
-
-        P = max(4, cpus)
-
-        def tag(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "part", pa.array(hash_partition_ids(b["doc_id"], P))
-            )
+        from tartare_ray.stages.kernels import fold_by_part
 
         def fold(gp: pa.Table) -> pa.Table:
             t = latest_per_key(gp, "doc_id", "lsn")
@@ -126,14 +119,13 @@ def run_level(n_events: int, cpus: int) -> None:
                 }
             )
 
-        agg = (
-            ray.data.read_parquet(res.files, columns=["doc_id", "lsn", "op", "n_tok"])
-            .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-            .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("part")
-            .map_groups(fold, batch_format="pyarrow")
-            .materialize()  # O(P) rows — both sums read the same pass
-        )
+        agg = fold_by_part(
+            ray.data.read_parquet(
+                res.files, columns=["doc_id", "lsn", "op", "n_tok"]
+            ).map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
+            "doc_id",
+            fold,
+        ).materialize()  # O(P) rows — both sums read the same pass
         return int(agg.sum("n") or 0), int(agg.sum("toks") or 0)
 
     def table_state(table: str) -> tuple[int, int]:
