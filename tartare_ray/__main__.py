@@ -519,6 +519,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.cmd == "consumers":
         from .state import consumers as cons
+        from .state.manifest import load_current
 
         if args.subscribe:
             cons.subscribe(args.table_root, args.subscribe, args.from_epoch)
@@ -528,7 +529,8 @@ def main(argv: list[str] | None = None) -> int:
             cons.ack(args.table_root, args.ack, args.epoch)
         if args.drop:
             cons.drop_consumer(args.table_root, args.drop)
-        print(json.dumps({"consumers": cons.list_consumers(args.table_root)}))
+        cur, cursors = load_current(args.table_root), cons.list_consumers(args.table_root)
+        print(json.dumps({"head": cur.epoch if cur else 0, "consumers": cursors}))
         return 0
 
     _init_ray()

@@ -964,7 +964,10 @@ class CdcEngine:
         feed ⇒ exactly-once end-to-end).  Epochs committed while the
         generator is live are picked up too (cursor + committed list
         re-checked per step), so ``for e, ds in eng.consume(cid)`` in
-        a tail loop drains continuously."""
+        a tail loop drains continuously.  When epoch cursor+1 is GC'd,
+        the first yield is ``(E, _seed_feed(E))`` for the oldest
+        retained E — the only yield whose epoch is not cursor+1: the
+        consumer replaces its state with that snapshot."""
         from ..state.consumers import load_cursor
         from ..state.manifest import list_committed_epochs
 
@@ -976,22 +979,32 @@ class CdcEngine:
             if not pending:
                 return
             e = pending[0]
-            yield e, self.changes_dataset(e)
+            yield e, (self.changes_dataset(e) if e == cur + 1 else self._seed_feed(e))
             # re-read: the consumer may have acked (normal), or not
             # (it will see this epoch again on the next consume call)
             acked = load_cursor(self.table_root, consumer_id)
             cur = max(cur if acked is None else acked, e)
+
+    def _seed_feed(self, epoch: int) -> ray.data.Dataset:
+        """The snapshot at ``epoch`` in the feed schema: every live row
+        an update (``op="U"``) at the epoch's watermark, so any later
+        feed row outranks it in a latest-per-key fold."""
+        wm = int(load_epoch(self.table_root, epoch).watermark_lsn)
+
+        def as_updates(b: pa.Table) -> pa.Table:
+            b = b.add_column(0, "lsn", pa.array([wm] * len(b), pa.int64()))
+            return b.add_column(0, "op", pa.array(["U"] * len(b), pa.string()))
+
+        return self.snapshot_dataset(epoch=epoch).map_batches(
+            as_updates, batch_format="pyarrow", zero_copy_batch=True
+        )
 
     def ack_changes(self, consumer_id: str, epoch: int) -> int:
         """Durably advance ``consumer_id``'s cursor past ``epoch``
         (monotone — late/duplicate acks are no-ops).  Only committed
         epochs can be acked."""
         from ..state.consumers import ack
-        from ..state.manifest import list_committed_epochs
 
-        committed = list_committed_epochs(self.table_root)
-        if not committed or epoch > max(committed):
-            raise ValueError(f"epoch {epoch} is not committed yet")
         return ack(self.table_root, consumer_id, epoch)
 
     def consumers(self) -> dict[str, int]:

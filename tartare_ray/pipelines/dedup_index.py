@@ -221,10 +221,10 @@ class EpochDeltaIndex:
             "rows": int(rows),
         }
 
-    def _write_base(self, epoch: int, ds: "ray.data.Dataset") -> None:
+    def _write_base(self, epoch: int, ds: "ray.data.Dataset", rows_fn=lambda b: b) -> None:
         final = self._base_dir(epoch)
         tmp = final + ".inprogress"
-        n = self._write_rows_dir(tmp, ds, lambda b: b)
+        n = self._write_rows_dir(tmp, ds, rows_fn)
         with open(os.path.join(tmp, "_source.json"), "w") as f:
             json.dump(self._base_marker(epoch, n), f)
         shutil.rmtree(final, ignore_errors=True)
@@ -288,7 +288,7 @@ class EpochDeltaIndex:
         self._drop_covered(target)
         return target
 
-    def _rebuild_base(self, cursor: int) -> None:
+    def _rebuild_base(self, cursor: int, seed: "ray.data.Dataset | None" = None) -> None:
         """The per-epoch deltas or feeds up to ``cursor`` are gone — a
         rollback fell below the compacted base, or ``gc_epochs``
         dropped epochs this index never consumed — so re-derive the
@@ -296,23 +296,9 @@ class EpochDeltaIndex:
         travel), with every row carrying that epoch's watermark LSN
         (all later feed rows outrank it in the latest-per-key fold).
         One full corpus read, paid only in those two cases."""
-        m = load_epoch(self.engine.table_root, cursor)
-        wm = int(m.watermark_lsn)
-        snap = self.engine.snapshot_dataset(epoch=cursor)
-        rows_fn = type(self)._delta_rows
-
-        def with_envelope(b: pa.Table) -> pa.Table:
-            b = b.append_column("op", pa.array(["U"] * len(b), pa.string()))
-            b = b.append_column("lsn", pa.array([wm] * len(b), pa.int64()))
-            return rows_fn(b)
-
-        final = self._base_dir(cursor)
-        tmp = final + ".inprogress"
-        n = self._write_rows_dir(tmp, snap, with_envelope)
-        with open(os.path.join(tmp, "_source.json"), "w") as f:
-            json.dump(self._base_marker(cursor, n), f)
-        shutil.rmtree(final, ignore_errors=True)
-        os.replace(tmp, final)
+        if seed is None:
+            seed = self.engine._seed_feed(cursor)
+        self._write_base(cursor, seed, type(self)._delta_rows)
         self._drop_covered(cursor)
 
     # -- maintenance ---------------------------------------------------------
@@ -361,20 +347,12 @@ class EpochDeltaIndex:
             if e > cursor or e <= floor:
                 shutil.rmtree(os.path.join(self.dir, n), ignore_errors=True)
         done = []
-        # the table aged past the cursor (a fresh index on a GC'd table,
-        # or a consumer registered after gc_epochs): the feeds of the
-        # missing epochs are gone, so folding the retained ones alone
-        # would silently drop every doc they never touched — derive
-        # the state from the snapshot at the oldest retained epoch
-        later = sorted(e for e in committed if e > cursor)
-        if later and later[0] != cursor + 1:
-            self._rebuild_base(later[0])
-            self.engine.ack_changes(self.consumer, later[0])
-            done.append(later[0])
         for e, ds in self.engine.consume(self.consumer):
-            if not os.path.isdir(self._epoch_dir(e)) or not self._marker_ok(e):
+            if e != cursor + 1:  # a seed: the snapshot at e is the new base
+                self._rebuild_base(e, ds)
+            elif not os.path.isdir(self._epoch_dir(e)) or not self._marker_ok(e):
                 self._write_epoch(e, ds)
-            self.engine.ack_changes(self.consumer, e)
+            cursor = self.engine.ack_changes(self.consumer, e)
             done.append(e)
         return done
 

@@ -45,7 +45,6 @@ import json
 import os
 import shutil
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..state.manifest import (
@@ -135,30 +134,9 @@ def sync_replica(
     log_root = os.path.join(dest_work, "log")
     replica_root = os.path.join(dest_work, "table")
     os.makedirs(log_root, exist_ok=True)
-    cursor = src.subscribe(consumer_id)
+    src.subscribe(consumer_id)
     gen = load_generation(src.table_root)
     divergence_bounds: list[int] = []
-    later = [e for e in list_committed_epochs(src.table_root) if e > cursor]
-    if later and later[0] != cursor + 1:
-        # the source aged past the cursor (a replica first synced after
-        # gc_epochs): the missing epochs' feeds are gone, so seed the
-        # replica with the snapshot at the oldest retained epoch, every
-        # row an update at that epoch's watermark
-        e = later[0]
-        m = load_epoch(src.table_root, e)
-        wm = int(m.watermark_lsn)
-
-        def as_updates(b: pa.Table) -> pa.Table:
-            b = b.add_column(0, "lsn", pa.array([wm] * len(b), pa.int64()))
-            return b.add_column(0, "op", pa.array(["U"] * len(b), pa.string()))
-
-        seed = src.snapshot_dataset(epoch=e).map_batches(
-            as_updates, batch_format="pyarrow", zero_copy_batch=True
-        )
-        final = os.path.join(log_root, f"feed-e{e:06d}")
-        shutil.rmtree(final, ignore_errors=True)
-        _write_feed(final, seed, {"epoch": e, "identity": _epoch_identity(m), "generation": gen})
-        src.ack_changes(consumer_id, e)
     for e, feed in src.consume(consumer_id):
         m = load_epoch(src.table_root, e)
         ident = _epoch_identity(m)

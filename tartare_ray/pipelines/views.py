@@ -31,10 +31,12 @@ Reference analogue `[UNVERIFIED — empty checkout, SURVEY.md §0]`:
 tartare recomputes coverage-level artifacts per export; the view is
 the incremental replacement for that recompute-the-world step.
 
-View state persists as JSON per epoch under ``_views/<name>/`` with
-the same atomic-write discipline as manifests — ``update_to`` resumes
-from the last persisted epoch (crash-safe: re-deriving an epoch's
-delta is deterministic).
+Each view is a change-feed consumer (``view.<name>``) whose cursor
+pins GC; on an aged table it starts from ``consume``'s seed.  Its
+state persists as JSON per epoch under ``_views/<name>/`` (atomic, like
+manifests) before the epoch's ack.  Subscribe and ack take the writer
+lock for a moment, so beside a committing engine they can raise
+``ConcurrentWriterError``, as an index update can.
 """
 
 from __future__ import annotations
@@ -106,18 +108,12 @@ class EpochDeltaView:
         self.name = name
         self.group_col = group_col
         self.val_col = val_col
+        self.consumer = f"view.{name}"
         self._dir = os.path.join(engine.table_root, "_views", name)
 
     # -- persistence -------------------------------------------------------
     def _path(self, epoch: int) -> str:
         return os.path.join(self._dir, f"e{epoch:06d}.json")
-
-    def _load_latest(self, up_to: int) -> tuple[int, dict]:
-        for e in range(up_to, 0, -1):
-            if os.path.exists(self._path(e)):
-                with open(self._path(e)) as f:
-                    return e, json.load(f)
-        return 0, {}
 
     def _persist(self, epoch: int, state: dict) -> None:
         os.makedirs(self._dir, exist_ok=True)
@@ -136,10 +132,11 @@ class EpochDeltaView:
     def _fold(self, state: dict, rows: list[dict], epoch: int) -> dict:
         raise NotImplementedError
 
-    def _epoch_rows(self, epoch: int) -> list[dict]:
+    def _epoch_rows(self, epoch: int, feed, seed: bool) -> list[dict]:
         eng = self.engine
         m = load_epoch(eng.table_root, epoch)
-        parent = None if m.parent_epoch is None else load_epoch(eng.table_root, m.parent_epoch)
+        pe = None if seed else m.parent_epoch  # a seed (snapshot) has no old rows
+        parent = None if pe is None else load_epoch(eng.table_root, pe)
         # the key→part mapping the PARENT chains were written with —
         # from the manifest, never the reader's config (an engine may
         # have repartitioned the table since this reader was built)
@@ -155,20 +152,36 @@ class EpochDeltaView:
                 type(self)._reduce, **{k: getattr(self, k) for k in self._reduce_kw}
             ),
         )
-        return fold_by_part(eng.changes_dataset(epoch), "doc_id", per_part, P).take_all()
+        return fold_by_part(feed, "doc_id", per_part, P).take_all()
 
     # -- public ------------------------------------------------------------
     def update_to(self, epoch: int | None = None) -> dict:
         """Fold epoch deltas into the persisted view up to ``epoch``
-        (default: CURRENT); returns the view state."""
-        cur = load_current(self.engine.table_root)
+        (default: CURRENT); returns the view state.  A view with
+        checkpoints but no cursor subscribes at its latest one."""
+        eng = self.engine
+        cur = load_current(eng.table_root)
         if cur is None and epoch is None:
             return {}  # nothing committed yet: the empty view
         target = cur.epoch if epoch is None else epoch
-        have, state = self._load_latest(target)
-        for e in range(have + 1, target + 1):
-            state = self._fold(state, self._epoch_rows(e), e)
-            self._persist(e, state)
+        names = os.listdir(self._dir) if os.path.isdir(self._dir) else []
+        saved = sorted(int(n[1:7]) for n in names if n.startswith("e") and n.endswith(".json"))
+        cursor = eng.subscribe(self.consumer, saved[-1] if saved else 0)
+        have = max((e for e in saved if e <= min(target, cursor)), default=0)
+        state = {}
+        if have:
+            with open(self._path(have)) as f:
+                state = json.load(f)
+        if have == cursor < target:
+            for e, feed in eng.consume(self.consumer):
+                if e > target:
+                    break
+                seed = e != have + 1  # consume's seed: the snapshot at e
+                state = self._fold({} if seed else state, self._epoch_rows(e, feed, seed), e)
+                self._persist(e, state)
+                have = eng.ack_changes(self.consumer, e)
+        if have != target:
+            raise LookupError(f"view {self.name!r}: no state at epoch {target} (cursor {cursor})")
         return state
 
 

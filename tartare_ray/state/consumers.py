@@ -15,7 +15,7 @@ Registered consumers also pin GC (``gc_epochs``): epochs a consumer
 has not yet acked — each serving its feed from its own winners files —
 and the acked epoch itself, the snapshot the consumer resumes from
 (an index rebuilds its base there after a rollback), cannot be
-deleted, mirroring the incremental-view retention floor.
+deleted; views (``view.<name>``) pin through their cursors too.
 Unregister (``drop_consumer``) to release the pin.
 
 Reference analogue `[UNVERIFIED — empty checkout, SURVEY.md §0]`:
@@ -51,8 +51,8 @@ def subscribe(table_root: str, consumer_id: str, from_epoch: int = 0) -> dict:
     not race an in-flight ``gc_epochs`` (which reads the retention
     floor under the same lock), or the new consumer's early epochs
     could be collected out from under its first ``consume``.
-    Epochs GC'd BEFORE registration are gone for good — a consumer of
-    an aged table starts at the retained history."""
+    Epochs GC'd BEFORE registration are gone: ``consume`` seeds such a
+    consumer with the snapshot at the oldest retained epoch."""
     from .lock import WriterLock
 
     st, key = _st(table_root), _ckey(consumer_id)
@@ -80,13 +80,17 @@ def ack(table_root: str, consumer_id: str, epoch: int) -> int:
     the offset).  Read-modify-write runs under the writer lock so a
     zombie consumer's late ack cannot interleave with (and undo) a
     replacement consumer's newer one.  Returns the cursor after the
-    call."""
+    call; only committed epochs can be acked (``ValueError``)."""
     from .lock import WriterLock
+    from .manifest import list_committed_epochs
 
     with WriterLock(table_root):
         cur = load_cursor(table_root, consumer_id)
         if cur is None:
             raise LookupError(f"consumer {consumer_id!r} is not subscribed")
+        committed = list_committed_epochs(table_root)
+        if not committed or epoch > committed[-1]:
+            raise ValueError(f"epoch {epoch} is not committed yet")
         if epoch <= cur:
             return cur
         _st(table_root).write_atomic(

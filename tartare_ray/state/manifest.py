@@ -191,41 +191,13 @@ def list_committed_epochs(table_root: str) -> list[int]:
     )
 
 
-def _view_retention_floor(table_root: str) -> int | None:
-    """Oldest epoch any persisted incremental view still depends on.
-
-    ``EpochDeltaView.update_to`` (pipelines/views.py, the base of every
-    incremental view) resumes from a view's latest persisted epoch H
-    and, for each epoch e in (H, CURRENT], reads epoch e's change feed
-    plus the PARENT chain at e-1 — so every
-    epoch ≥ H must survive GC or a lagging view would read deleted
-    chains.  Fresh views (no persisted state) replay from epoch 1 and
-    are not protected; checkpoint them (``update_to()``) before GC."""
-    vdir = os.path.join(table_root, "_views")
-    floors = []
-    if os.path.isdir(vdir):
-        for name in os.listdir(vdir):
-            sub = os.path.join(vdir, name)
-            if not os.path.isdir(sub):
-                continue
-            eps = [
-                int(n[1:7])
-                for n in os.listdir(sub)
-                if n.startswith("e") and n.endswith(".json")
-            ]
-            if eps:
-                floors.append(max(eps))
-    return min(floors) if floors else None
-
-
 def gc_epochs(table_root: str, keep_last: int = 2) -> int:
     """Epoch GC: delete data files referenced (``referenced_files``) ONLY
     by manifests older than the last ``keep_last`` epochs (time travel to
     those epochs is given up), plus the old manifests/metrics.  Never
     touches anything reachable from a retained manifest — or from any
-    epoch a persisted incremental view still needs for retractions
-    (``_view_retention_floor``), or that a registered change-feed
-    consumer has not yet acknowledged (``consumer_retention_floor``).  Holds the single-writer flock for the
+    epoch that a registered change-feed consumer (a replica, an index,
+    a view) has not yet acknowledged (``consumer_retention_floor``).  Holds the single-writer flock for the
     scan+delete: a concurrent in-flight epoch writes files no manifest
     references yet, and an unlocked GC would delete them out from
     under the pending commit.  Readers need no lock (committed files
@@ -246,9 +218,6 @@ def _gc_epochs_locked(table_root: str, keep_last: int) -> int:
     epochs = list_committed_epochs(table_root)
     keep = {e for e in epochs if e > cur.epoch - keep_last}
     keep.add(cur.epoch)
-    floor = _view_retention_floor(table_root)
-    if floor is not None:
-        keep.update(e for e in epochs if e >= floor)
     # registered change-feed consumers pin their acked epoch (parent
     # watermark for the next feed) and everything unacked after it
     from .consumers import consumer_retention_floor

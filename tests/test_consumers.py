@@ -3,6 +3,7 @@ redelivery, and the GC retention pin for lagging consumers."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -122,3 +123,17 @@ def test_drop_consumer_releases_pin(ray_session, tmp_path):
     assert drop_consumer(eng.table_root, "temp") is True
     gc_epochs(eng.table_root, keep_last=1)
     assert list_committed_epochs(eng.table_root) == [epochs[-1]]
+
+
+def test_cli_ack_refuses_uncommitted_epoch(tmp_path, capsys):
+    """The ``consumers`` verb acks through the same committed-epoch
+    check as ``ack_changes`` and prints the head beside the cursors."""
+    from tartare_ray.__main__ import main
+
+    cli = ["consumers", "--table-root", str(tmp_path / "t")]
+    assert main(cli + ["--subscribe", "c1"]) == 0
+    with pytest.raises(ValueError):
+        main(cli + ["--ack", "c1", "--epoch", "999"])
+    capsys.readouterr()
+    assert main(cli) == 0
+    assert json.loads(capsys.readouterr().out) == {"head": 0, "consumers": {"c1": 0}}

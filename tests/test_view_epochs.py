@@ -21,7 +21,8 @@ from tartare_ray.pipelines.views import (
     IncrementalQuantileView,
 )
 from tartare_ray.schema import CHANGE_SCHEMA
-from tartare_ray.stages.sketch import dd_bucket
+from tartare_ray.state.manifest import gc_epochs, list_committed_epochs
+from tartare_ray.stages.sketch import dd_bucket, dd_value
 
 NULL = "\x00null"  # the views' key for a null group
 
@@ -128,3 +129,65 @@ def test_views_update_on_engine_with_pending_prefetch(ray_session, tmp_path, mon
     got_min = IncrementalMinMaxView(eng, "min", "source", "n_tok").update_to()
     assert {k: ent["buf"][0][0] for k, ent in got_min.items()} == want_min
     assert IncrementalQuantileView(eng, "q", "source", "n_tok").update_to() == want_q
+
+
+def _direct_tables(snap: pa.Table) -> tuple[pa.Table, pa.Table, pa.Table]:
+    """The three views' ``as_table()`` recomputed from a snapshot: the
+    quantile of a group is the DDSketch value of the bucket holding its
+    rank-th smallest value."""
+    vals: dict = {}
+    for g, v in zip(snap["source"].to_pylist(), snap["n_tok"].to_pylist()):
+        vals.setdefault(NULL if g is None else g, []).append(float(v))
+    ks = sorted(vals)
+
+    def quantile(vs: list, q: float) -> float:
+        x = sorted(vs)[max(1, int(np.ceil(q * len(vs)))) - 1]
+        return float(dd_value(dd_bucket(np.array([x]), 0.01), 0.01)[0])
+
+    agg = pa.table(
+        {
+            "source": pa.array(ks, pa.string()),
+            "n_docs": pa.array([len(vals[k]) for k in ks], pa.int64()),
+            "sum_n_tok": pa.array([sum(vals[k]) for k in ks], pa.float64()),
+        }
+    )
+    mins = pa.table(
+        {
+            "source": pa.array(ks, pa.string()),
+            "min_n_tok": pa.array([min(vals[k]) for k in ks], pa.float64()),
+        }
+    )
+    qs = {f"q{int(q * 100)}": [quantile(vals[k], q) for k in ks] for q in (0.5, 0.9, 0.99)}
+    quant = pa.table({"source": pa.array(ks, pa.string()), **qs})
+    return agg, mins, quant
+
+
+@pytest.mark.parametrize("mode", ["cow", "delta"])
+def test_views_first_built_on_aged_table(ray_session, tmp_path, mode):
+    """Views first built after ``gc_epochs`` start from the snapshot at
+    the oldest retained epoch, then follow the feed after it."""
+    log = str(tmp_path / "log")
+    for i, rows in enumerate(EPOCHS):
+        _write_rows(f"{log}/events-{i:06d}.parquet", rows)
+    eng = CdcEngine(
+        log,
+        str(tmp_path / "tbl"),
+        EngineConfig(num_partitions=3, epoch_max_files=1, write_mode=mode),
+    )
+    for _ in range(3):
+        eng.run_epoch()
+    gc_epochs(eng.table_root, keep_last=1)
+    assert list_committed_epochs(eng.table_root) == [3]
+    views = [
+        IncrementalAggView(eng, "agg", "source", "n_tok"),
+        IncrementalMinMaxView(eng, "min", "source", "n_tok", buffer_n=2),
+        IncrementalQuantileView(eng, "q", "source", "n_tok"),
+    ]
+    for head in (3, 4):
+        if head == 4:
+            assert eng.run_epoch().epoch == 4
+        want = _direct_tables(eng.snapshot_table())
+        for v, w in zip(views, want):
+            got = v.as_table()
+            assert got.equals(w), (head, v.name, got.to_pylist(), w.to_pylist())
+        assert eng.consumers() == {"view.agg": head, "view.min": head, "view.q": head}

@@ -78,6 +78,40 @@ def test_view_resumes_from_persisted_state(tmp_path, ray_session):
     assert os.path.exists(os.path.join(eng.table_root, "_views", "v", "e000003.json"))
 
 
+def test_view_without_cursor_resumes_from_checkpoint(tmp_path, ray_session, monkeypatch):
+    """A view holding checkpoints but no consumer cursor (as tables
+    written before views held cursors are) subscribes at its latest
+    checkpoint and folds only the later epochs."""
+    from tartare_ray.state.consumers import drop_consumer
+
+    res = generate_log(
+        str(tmp_path / "log"), GenConfig(n_events=3000, n_docs=300, events_per_file=1000)
+    )
+    eng = CdcEngine(
+        os.path.dirname(res.files[0]),
+        str(tmp_path / "table"),
+        EngineConfig(num_partitions=4, epoch_max_files=1),
+    )
+    eng.run_epoch()
+    IncrementalAggView(eng, "v", "source", "n_tok").update_to(1)
+    assert drop_consumer(eng.table_root, "view.v")
+    eng.run_epoch()
+    eng.run_epoch()
+    folded = []
+    epoch_rows = IncrementalAggView._epoch_rows
+
+    def spy(self, epoch, *args):
+        folded.append(epoch)
+        return epoch_rows(self, epoch, *args)
+
+    monkeypatch.setattr(IncrementalAggView, "_epoch_rows", spy)
+    state = IncrementalAggView(eng, "v", "source", "n_tok").update_to()
+    assert folded == [2, 3]
+    expect = direct_agg(eng.snapshot_table(), "source", "n_tok")
+    assert {k: v[0] for k, v in state.items()} == {k: v[0] for k, v in expect.items()}
+    assert eng.consumers() == {"view.v": 3}
+
+
 def _write_rows(path, rows):
     """rows: (lsn, op, doc_id, tokens) — the minhash-index test helper
     shape, local copy (module independence)."""
