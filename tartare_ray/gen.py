@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .state.storage import publish
+
 VOCAB = 50257  # GPT-2-ish vocab size per FIXTURES.md
 OPS = np.array(["I", "U", "D"])
 
@@ -169,9 +171,8 @@ def generate_log(log_dir: str, cfg: GenConfig) -> GenResult:
             cols["quality"] = qarr
         tbl = pa.table(cols)
         path = expected[fileno]
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
+        with publish(path) as tmp:
+            pq.write_table(tbl, tmp)
         res.files.append(path)
         res.n_events += n
         res.max_lsn = int(lsn[-1])
@@ -258,9 +259,8 @@ def generate_documents(
                 "n_chars": pa.array(np.array([len(s) for s in texts], dtype=np.int64)),
             }
         )
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        with publish(path) as tmp:
+            pq.write_table(t, tmp)
         return path
 
     assert docs_per_file % 10 == 0, "planted copies must stay within one file"
@@ -324,9 +324,8 @@ def generate_embeddings(
                 "label": pa.array((ids % 16).astype(np.int32)),
             }
         )
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        with publish(path) as tmp:
+            pq.write_table(t, tmp)
         return path
 
     assert vecs_per_file % 10 == 0, "planted pairs must stay within one file"

@@ -12,6 +12,7 @@ import json
 import os
 
 from .state.manifest import Manifest
+from .state.storage import storage_for
 
 
 def epoch_metrics(
@@ -67,11 +68,6 @@ def epoch_metrics(
 
 
 def write_epoch_metrics(table_root: str, metrics: dict) -> str:
-    d = os.path.join(table_root, "_metrics")
-    os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, f"e{metrics['epoch']:06d}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(metrics, f, indent=1)
-    os.replace(tmp, path)
-    return path
+    key = f"_metrics/e{metrics['epoch']:06d}.json"
+    storage_for(table_root).write_atomic(key, json.dumps(metrics, indent=1))
+    return os.path.join(table_root, key)

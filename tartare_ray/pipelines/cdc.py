@@ -55,6 +55,7 @@ from ..state.manifest import (
     load_epoch,
 )
 from ..state.late import quarantine_late
+from ..state.storage import publish
 from ..stages.apply import MergeApplier, SplitApplier
 from ..stages.validate import ValidatePartitionStage
 
@@ -94,13 +95,6 @@ class EngineConfig:
     # path: write amplification O(epoch winners) instead of O(table)).
     write_mode: str = "cow"
     compact_chain_len: int = 8
-    # Size-tiered fold trigger (delta mode): also fold a touched
-    # partition once its chain's delta bytes reach ratio × base bytes —
-    # bounds read amplification in BYTES the way compact_chain_len
-    # bounds it in FILES (a huge base under a trickle of tiny deltas
-    # should NOT rewrite every N epochs, and a small base under fat
-    # deltas should not wait for N).  None = off.
-    compact_delta_ratio: float | None = None
     # Accepted and ignored: every epoch takes the one exchange-free path.
     exchange: str = "sort"
     # Late materialization: a column-pruned envelope pass (lsn/op/doc_id
@@ -364,14 +358,11 @@ class CdcEngine:
         self._schema_conflict = conflict[1].path if conflict else None
         epoch = (cur.epoch + 1) if cur is not None else 1
         snap_schema, change_schema = self._epoch_schemas(cur, chosen)
-        # Per-partition file chain in epoch order (cow: one base); the
-        # bytes feed the fold task's compact_delta_ratio trigger.
+        # Per-partition file chain in epoch order (cow: one base).
         parent_chain: dict[int, list[dict]] = {}
         if cur is not None:
             for pl in sorted(cur.partitions, key=lambda x: (x.p, x.epoch)):
-                parent_chain.setdefault(pl.p, []).append(
-                    {"file": pl.file, "kind": pl.kind, "bytes": pl.bytes}
-                )
+                parent_chain.setdefault(pl.p, []).append({"file": pl.file, "kind": pl.kind})
         cpus = int(ray.cluster_resources().get("CPU", 4))
 
         # Read WITHOUT a schema override: passing schema= makes Ray's
@@ -513,7 +504,6 @@ class CdcEngine:
                 parent_chain=parent_chain,
                 mode=self.cfg.write_mode,
                 compact_chain_len=self.cfg.compact_chain_len,
-                compact_delta_ratio=self.cfg.compact_delta_ratio,
             )
             fold_ds = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
                 applier.fold_splits, batch_format="pyarrow", batch_size=1
@@ -1189,9 +1179,8 @@ class CdcEngine:
                 fixed.schema.get_field_index("lsn"), "lsn", fresh
             )
             path = os.path.join(first, f"requeue-e{epoch:06d}.parquet")
-            tmp = path + ".inprogress"
-            pq.write_table(fixed, tmp)
-            os.replace(tmp, path)
+            with publish(path) as tmp:
+                pq.write_table(fixed, tmp)
             return path
 
     def backfill(self, column: str, fn) -> Manifest | None:

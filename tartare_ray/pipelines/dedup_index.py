@@ -25,14 +25,18 @@ watermark LSN) — one full corpus read, paid only on
 rollback-past-compaction.
 
 Exactly-once by the same composition as ``pipelines/replica.py``:
-- delta persistence is write-to-tmp + directory rename keyed by the
-  source epoch (a crashed/retried update rewrites the same directory);
+- each delta directory, keyed by the source epoch, lands whole through
+  ``state/storage.publish`` (a crashed/retried update rewrites the
+  same directory);
 - the consumer cursor (``ack_changes``) advances only after the
-  rename, so a crash before it re-delivers the epoch (idempotent);
-- each directory carries a ``_source.json`` marker with the source
-  manifest's lineage identity + rollback GENERATION: after a source
-  rollback the redelivered epochs' stale deltas are detected and
-  rewritten (``rollback_to`` already clamps the cursor).
+  publish, so a crash before it re-delivers the epoch (idempotent);
+- ``update()`` drops every delta directory above the acked cursor
+  before consuming, so a redelivered epoch — after a crash, or after a
+  source rollback (``rollback_to`` clamps the cursor) — is always
+  rewritten from its current feed;
+- a base directory's ``_source.json`` marker records the source
+  manifest's lineage identity + rollback GENERATION, so a rollback
+  below the base invalidates it (``_base_valid``).
 
 Reference analogue `[UNVERIFIED — empty checkout, SURVEY.md §0]`:
 tartare's checksum-dedup of re-fetched feeds, upgraded from
@@ -52,6 +56,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..state.manifest import list_committed_epochs, load_epoch, load_generation
+from ..state.storage import TMP_SUFFIX, publish
 from ..stages.kernels import fold_by_part
 from ..stages.text import token_fingerprints_batch
 from .replica import _epoch_identity
@@ -61,8 +66,8 @@ class EpochDeltaIndex:
     """Epoch-delta persistence shared by the incremental indexes
     (token fingerprints here; MinHash signatures in
     ``pipelines/minhash_index.py``): consumer-cursor feed consumption,
-    tmp+rename exactly-once delta directories keyed by source epoch,
-    lineage/generation markers for rollback hygiene.  Subclasses set
+    published exactly-once delta directories keyed by source epoch,
+    lineage/generation base markers for rollback hygiene.  Subclasses set
     ``_delta_rows`` (a staticmethod: feed batch → delta rows, columns
     (doc_id, <payload…>, op, lsn)) and add their query methods."""
 
@@ -76,17 +81,6 @@ class EpochDeltaIndex:
     def _epoch_dir(self, epoch: int) -> str:
         return os.path.join(self.dir, f"fp-e{epoch:06d}")
 
-    def _marker_ok(self, epoch: int) -> bool:
-        p = os.path.join(self._epoch_dir(epoch), "_source.json")
-        if not os.path.exists(p):
-            return False
-        with open(p) as f:
-            d = json.load(f)
-        m = load_epoch(self.engine.table_root, epoch)
-        return d.get("identity") == _epoch_identity(m) and d.get(
-            "generation"
-        ) == load_generation(self.engine.table_root)
-
     @staticmethod
     def _delta_rows(b: pa.Table) -> pa.Table:
         raise NotImplementedError
@@ -95,14 +89,13 @@ class EpochDeltaIndex:
         """Distributed delta-shaped write: each block maps through
         ``rows_fn`` and writes its own content-hash-named file into
         ``tmp`` — the DRIVER never materializes the data (it only
-        renames the directory afterwards).  A retried/crashed attempt
+        publishes the directory afterwards).  A retried/crashed attempt
         starts from a cleared tmp dir and rewrites the same bytes.
         Filenames hash doc_id offsets+data+lsn bytes (doc sets are
         disjoint across blocks, so names are collision-free even when
         every row shares one lsn, as in a snapshot rebuild; the
         offsets buffer is included because disjoint doc sets like
         ["ab","c"] vs ["a","bc"] share identical data bytes)."""
-        shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp)
 
         def write_block(b: pa.Table) -> pa.Table:
@@ -134,24 +127,17 @@ class EpochDeltaIndex:
             )
         )  # O(blocks) lineage rows
 
+    def _write_dir(self, final: str, ds: "ray.data.Dataset", rows_fn, marker: dict) -> None:
+        """One index directory, published whole: ``_write_rows_dir``'s
+        files plus a ``_source.json`` holding ``marker`` and the row
+        count."""
+        with publish(final) as tmp:
+            n = self._write_rows_dir(tmp, ds, rows_fn)
+            with open(os.path.join(tmp, "_source.json"), "w") as f:
+                json.dump({**marker, "rows": int(n)}, f)
+
     def _write_epoch(self, epoch: int, ds: ray.data.Dataset) -> None:
-        """Per-epoch delta directory: see ``_write_rows_dir``."""
-        final = self._epoch_dir(epoch)
-        tmp = final + ".inprogress"
-        n = self._write_rows_dir(tmp, ds, type(self)._delta_rows)
-        m = load_epoch(self.engine.table_root, epoch)
-        with open(os.path.join(tmp, "_source.json"), "w") as f:
-            json.dump(
-                {
-                    "epoch": epoch,
-                    "identity": _epoch_identity(m),
-                    "generation": load_generation(self.engine.table_root),
-                    "rows": int(n),
-                },
-                f,
-            )
-        shutil.rmtree(final, ignore_errors=True)
-        os.replace(tmp, final)
+        self._write_dir(self._epoch_dir(epoch), ds, type(self)._delta_rows, {"epoch": epoch})
 
     # -- base (compacted) state ----------------------------------------------
     def _base_dir(self, epoch: int) -> str:
@@ -163,7 +149,7 @@ class EpochDeltaIndex:
         return sorted(
             int(n[6:12])
             for n in os.listdir(self.dir)
-            if n.startswith("base-e") and not n.endswith(".inprogress")
+            if n.startswith("base-e") and not n.endswith(TMP_SUFFIX)
         )
 
     def _base_valid(self, epoch: int, cursor: int) -> bool:
@@ -204,9 +190,9 @@ class EpochDeltaIndex:
                 best = e
         return best
 
-    def _base_marker(self, epoch: int, rows: int) -> dict:
-        """``_source.json`` payload for a base: lineage identity when
-        the source manifest is still on disk (None when GC already
+    def _write_base(self, epoch: int, ds: "ray.data.Dataset", rows_fn=lambda b: b) -> None:
+        """A base directory whose marker holds the lineage identity
+        when the source manifest is still on disk (None when GC already
         reclaimed it — ``_base_valid`` then falls back to the
         generation check), plus the rollback generation at write
         time."""
@@ -214,31 +200,22 @@ class EpochDeltaIndex:
             ident = _epoch_identity(load_epoch(self.engine.table_root, epoch))
         except (FileNotFoundError, LookupError, KeyError):
             ident = None
-        return {
+        marker = {
             "epoch": epoch,
             "identity": ident,
             "generation": load_generation(self.engine.table_root),
-            "rows": int(rows),
         }
-
-    def _write_base(self, epoch: int, ds: "ray.data.Dataset", rows_fn=lambda b: b) -> None:
-        final = self._base_dir(epoch)
-        tmp = final + ".inprogress"
-        n = self._write_rows_dir(tmp, ds, rows_fn)
-        with open(os.path.join(tmp, "_source.json"), "w") as f:
-            json.dump(self._base_marker(epoch, n), f)
-        shutil.rmtree(final, ignore_errors=True)
-        os.replace(tmp, final)
+        self._write_dir(self._base_dir(epoch), ds, rows_fn, marker)
 
     def _drop_covered(self, up_to: int) -> None:
         """Remove per-epoch delta dirs and older bases now folded into
         the base at ``up_to`` (safe after the base rename: readers pick
         the newest valid base and skip dirs at or below its epoch)."""
         for n in os.listdir(self.dir):
-            if n.startswith("fp-e") and not n.endswith(".inprogress"):
+            if n.startswith("fp-e") and not n.endswith(TMP_SUFFIX):
                 if int(n[4:10]) <= up_to:
                     shutil.rmtree(os.path.join(self.dir, n), ignore_errors=True)
-            elif n.startswith("base-e") and not n.endswith(".inprogress"):
+            elif n.startswith("base-e") and not n.endswith(TMP_SUFFIX):
                 if int(n[6:12]) < up_to:
                     shutil.rmtree(os.path.join(self.dir, n), ignore_errors=True)
 
@@ -277,7 +254,7 @@ class EpochDeltaIndex:
             int(n[4:10])
             for n in os.listdir(self.dir)
             if n.startswith("fp-e")
-            and not n.endswith(".inprogress")
+            and not n.endswith(TMP_SUFFIX)
             and int(n[4:10]) <= cursor
             and (base is None or int(n[4:10]) > base)
         ]
@@ -338,7 +315,7 @@ class EpochDeltaIndex:
         for n in os.listdir(self.dir):
             if not (n.startswith("fp-e") or n.startswith("base-e")):
                 continue
-            if n.endswith(".inprogress"):
+            if n.endswith(TMP_SUFFIX):
                 shutil.rmtree(os.path.join(self.dir, n), ignore_errors=True)
                 continue
             if n.startswith("base-e"):
@@ -350,7 +327,7 @@ class EpochDeltaIndex:
         for e, ds in self.engine.consume(self.consumer):
             if e != cursor + 1:  # a seed: the snapshot at e is the new base
                 self._rebuild_base(e, ds)
-            elif not os.path.isdir(self._epoch_dir(e)) or not self._marker_ok(e):
+            else:  # every dir above the cursor was removed above
                 self._write_epoch(e, ds)
             cursor = self.engine.ack_changes(self.consumer, e)
             done.append(e)
@@ -398,7 +375,7 @@ class EpochDeltaIndex:
             out.extend(files_of(f"base-e{base:06d}"))
         floor = -1 if base is None else base
         for n in sorted(os.listdir(self.dir)):
-            if n.startswith("fp-e") and not n.endswith(".inprogress"):
+            if n.startswith("fp-e") and not n.endswith(TMP_SUFFIX):
                 e = int(n[4:10])
                 if floor < e <= cursor and (up_to is None or e <= up_to):
                     out.extend(files_of(n))

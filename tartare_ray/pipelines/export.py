@@ -4,9 +4,9 @@ shards.
 
 One shard per snapshot partition, named deterministically
 ``shard-{p:05d}-e{epoch:06d}-g{generation}.parquet`` and written
-tmp+rename — so a failed/killed export SKIPS finished shards on
-re-run (the brief's resumable-output rule: never one giant file, one
-unit per input shard).  A two-phase ``_export.json`` manifest commits
+through ``state/storage.publish`` — so a failed/killed export SKIPS
+finished shards on re-run (the brief's resumable-output rule: never
+one giant file, one unit per input shard).  A two-phase ``_export.json`` manifest commits
 last: readers treat the export as complete only when it exists, and it
 records the source (epoch, generation) so a post-rollback re-export
 replaces rather than mixes.
@@ -19,9 +19,11 @@ is one partition per task, same as the engine's apply.
 INCREMENTAL re-export: each shard records a fingerprint of the chain
 it was packed from.  On the next export (same out_dir, later epoch) a
 partition whose chain is UNCHANGED — untouched by every intervening
-epoch, the common case under zipf-hot workloads — is hardlinked from
-the previous shard instead of re-read and re-packed, so re-export cost
-is proportional to TOUCHED partitions, not table size.  Reuse requires
+epoch, the common case under zipf-hot workloads — is linked (or
+copied, where the filesystem has no hardlinks) from the previous shard
+before any shard task runs, instead of re-read and re-packed, so
+re-export cost is proportional to TOUCHED partitions, not table
+size.  Reuse requires
 identical pack parameters and generation; a missing/mismatched prior
 falls through to a full repack.
 
@@ -40,6 +42,7 @@ import pyarrow as pa
 import ray.data
 
 from ..state.manifest import load_current, load_epoch, load_generation
+from ..state.storage import link_or_copy, publish, storage_for
 from ..stages.pack import pack_batch
 
 
@@ -85,6 +88,9 @@ class ExportShardStage:
         # resume can never adopt shards packed with a different filter
         self.tag = f"-dd{drop_fp[:8]}" if drop_fp else ""
 
+    def shard_name(self, p: int) -> str:
+        return f"shard-{p:05d}-e{self.epoch:06d}-g{self.generation}{self.tag}.parquet"
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
@@ -93,35 +99,13 @@ class ExportShardStage:
         out = []
         for row in batch.to_pylist():
             p = int(row["p"])
-            name = (
-                f"shard-{p:05d}-e{self.epoch:06d}-g{self.generation}{self.tag}.parquet"
-            )
+            name = self.shard_name(p)
             path = os.path.join(self.out_dir, name)
             fp = chain_fingerprint(row["chain_json"])
             if os.path.exists(path):  # resume: shard already finished
                 md = pq.ParquetFile(path).metadata
                 out.append((p, name, md.num_rows, "resumed", fp))
                 continue
-            prior = row.get("prior_file")
-            if prior and row.get("prior_fp") == fp:
-                # incremental reuse: the chain this partition would be
-                # packed from is byte-identical to the previous
-                # export's — hardlink its shard instead of repacking
-                src = os.path.join(self.out_dir, prior)
-                if os.path.exists(src):
-                    tmp = path + ".inprogress"
-                    if os.path.exists(tmp):
-                        os.remove(tmp)
-                    try:
-                        os.link(src, tmp)
-                    except OSError:  # cross-device / no-hardlink FS
-                        import shutil as _sh
-
-                        _sh.copyfile(src, tmp)
-                    os.replace(tmp, path)
-                    md = pq.ParquetFile(path).metadata
-                    out.append((p, name, md.num_rows, "reused", fp))
-                    continue
             chain = json.loads(row["chain_json"])
             live = read_chain(self.table_root, chain, self.schema)
             if self.drop_ref is not None:
@@ -140,9 +124,8 @@ class ExportShardStage:
                 eos=self.eos,
                 pad=self.pad,
             )
-            tmp = path + ".inprogress"
-            pq.write_table(packed, tmp, compression="zstd")
-            os.replace(tmp, path)
+            with publish(path) as tmp:
+                pq.write_table(packed, tmp, compression="zstd")
             out.append((p, name, len(packed), "packed", fp))
         return pa.table(
             {
@@ -246,37 +229,33 @@ def export_training_shards(
             prior_by_p = {
                 int(s["p"]): s for s in prev.get("shards", []) if s.get("chain_fp")
             }
-    items = []
+    stage = ExportShardStage(
+        engine.table_root, out_dir, m.schema_b64, m.epoch, gen, seq_len, eos, pad,
+        drop_ref, drop_fp,
+    )
+    items, lineage = [], []
     for p, chain in sorted(engine._chains(m).items()):
-        prior = prior_by_p.get(p, {})
-        items.append(
-            {
-                "p": p,
-                "chain_json": json.dumps(chain),
-                "prior_file": prior.get("file", ""),
-                "prior_fp": prior.get("chain_fp", ""),
-            }
-        )
-    lineage = (
-        ray.data.from_items(items)
-        .map_batches(
-            ExportShardStage(
-                engine.table_root,
-                out_dir,
-                m.schema_b64,
-                m.epoch,
-                gen,
-                seq_len,
-                eos,
-                pad,
-                drop_ref,
-                drop_fp,
-            ),
-            batch_format="pyarrow",
-            batch_size=1,
-        )
-        .take_all()
-    )  # O(partitions) descriptor rows
+        chain_json = json.dumps(chain)
+        fp = chain_fingerprint(chain_json)
+        name, prior = stage.shard_name(p), prior_by_p.get(p, {})
+        src, path = os.path.join(out_dir, prior.get("file", "")), os.path.join(out_dir, name)
+        if prior.get("chain_fp") == fp and os.path.isfile(src) and not os.path.exists(path):
+            # incremental reuse: the chain this partition would be
+            # packed from is byte-identical to the previous export's —
+            # link its shard here instead of repacking it in a task
+            with publish(path) as tmp:
+                link_or_copy(src, tmp)
+            lineage.append(
+                {"p": p, "file": name, "n_seqs": int(prior["n_seqs"]), "how": "reused", "chain_fp": fp}
+            )
+        else:
+            items.append({"p": p, "chain_json": chain_json})
+    if items:
+        lineage += (
+            ray.data.from_items(items)
+            .map_batches(stage, batch_format="pyarrow", batch_size=1)
+            .take_all()
+        )  # O(partitions) descriptor rows
     shards = sorted(lineage, key=lambda r: int(r["p"]))
     manifest = {
         "source_table": engine.table_root,
@@ -300,10 +279,5 @@ def export_training_shards(
         "reused_shards": int(sum(r["how"] == "reused" for r in shards)),
         "packed_shards": int(sum(r["how"] == "packed" for r in shards)),
     }
-    tmp = os.path.join(out_dir, "_export.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(out_dir, "_export.json"))
+    storage_for(out_dir).write_atomic("_export.json", json.dumps(manifest, indent=1))
     return manifest

@@ -35,6 +35,7 @@ import ray.data
 from .. import __version__
 from ..functions import text as T
 from ..pipelines.cdc import CdcEngine, EngineConfig
+from ..state.storage import publish
 
 VOCAB = 50257
 
@@ -95,8 +96,8 @@ def derive_change_log(sf_dir: str, log_dir: str) -> None:
 
     def write(fileno: int, tbl: pa.Table) -> None:
         path = os.path.join(log_dir, f"events-{fileno:06d}.parquet")
-        pq.write_table(tbl, path + ".tmp")
-        os.replace(path + ".tmp", path)
+        with publish(path) as tmp:
+            pq.write_table(tbl, tmp)
 
     # wave 0: insert everything (narrow int32 tokens, no quality column)
     toks0, len0 = _doc_tokens(docs["text"], np.zeros(n, dtype=bool), sentinel=None)

@@ -60,6 +60,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..state.storage import publish, storage_for
 from .cdc import CdcEngine, EngineConfig
 
 
@@ -114,16 +115,14 @@ class MultiTableCdc:
                     part = t.filter(pc.equal(t["table"], tbl)).remove_column(col)
                     d = os.path.join(demux_dir, tbl)
                     os.makedirs(d, exist_ok=True)
-                    tmp = os.path.join(d, name + ".tmp")
-                    pq.write_table(part, tmp, compression="zstd")
-                    os.replace(tmp, os.path.join(d, name))
+                    with publish(os.path.join(d, name)) as tmp:
+                        pq.write_table(part, tmp, compression="zstd")
                     out_t.append(tbl)
                     out_n.append(len(part))
                 # marker after ALL slices of this file are renamed
-                mtmp = os.path.join(demux_dir, "_done", name + ".json.tmp")
-                with open(mtmp, "w") as f:
-                    json.dump({"file": name, "tables": sorted(tables)}, f)
-                os.replace(mtmp, mtmp[: -len(".tmp")])
+                storage_for(demux_dir).write_atomic(
+                    f"_done/{name}.json", json.dumps({"file": name, "tables": sorted(tables)})
+                )
             return pa.table(
                 {"table": pa.array(out_t, pa.string()), "rows": pa.array(out_n, pa.int64())}
             )
@@ -207,10 +206,10 @@ class MultiTableCdc:
             final = os.path.join(self.global_dir, f"e{nxt:06d}.json")
             if os.path.exists(final):  # belt-and-braces under the lock
                 raise GlobalCommitError(f"global epoch {nxt} already committed")
-            tmp = final + ".tmp"
-            with open(tmp, "w") as f:
-                json.dump({"global_epoch": nxt, "tables": entries}, f, indent=1)
-            os.replace(tmp, final)
+            storage_for(self.global_dir).write_atomic(
+                os.path.basename(final),
+                json.dumps({"global_epoch": nxt, "tables": entries}, indent=1),
+            )
             return nxt
         finally:
             os.close(fd)
@@ -330,8 +329,8 @@ def derive_multi_log(sf_dir: str, log_dir: str) -> None:
     def write(fileno: int, parts: list[pa.Table]) -> None:
         t = pa.concat_tables(parts).sort_by([("lsn", "ascending")])
         path = os.path.join(log_dir, f"events-{fileno:06d}.parquet")
-        pq.write_table(t, path + ".tmp")
-        os.replace(path + ".tmp", path)
+        with publish(path) as tmp:
+            pq.write_table(t, tmp)
 
     # wave 0: both tables insert everything (narrow int32 token lists)
     s_toks, s_off = T.word_polyhash_lists(docs["text"])

@@ -3770,6 +3770,7 @@ def cdc_backfill(sf_dir: str) -> ray.data.Dataset:
     pre-backfill state for the other CDC oracles.  Value-checked:
     wave-1 rows keep their STORED quality bit-for-bit, all other live
     rows get the backfill function's value."""
+    from ..state.storage import TMP_SUFFIX, link_or_copy, publish
     from .cdc import CdcEngine
     from .flagship import flagship_workdir
 
@@ -3782,7 +3783,7 @@ def cdc_backfill(sf_dir: str) -> ray.data.Dataset:
     # left a hardlinked table + marker in the shared workdir forever)
     import shutil
 
-    keep = {os.path.basename(root2) + s for s in ("", ".copied", ".tmp")}
+    keep = {os.path.basename(root2) + s for s in ("", ".copied", TMP_SUFFIX)}
     for name in os.listdir(work):
         if name.startswith("table_backfill_e") and name not in keep:
             stale = os.path.join(work, name)
@@ -3791,17 +3792,14 @@ def cdc_backfill(sf_dir: str) -> ray.data.Dataset:
             else:
                 os.remove(stale)  # the .copied marker
     if not os.path.exists(marker):
-        tmp = root2 + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        shutil.rmtree(root2, ignore_errors=True)
-        for dirpath, _dirnames, filenames in os.walk(eng.table_root):
-            rel = os.path.relpath(dirpath, eng.table_root)
-            os.makedirs(os.path.join(tmp, rel), exist_ok=True)
-            for f in filenames:
-                if f == "LOCK":
-                    continue  # advisory lock: each root owns its own
-                os.link(os.path.join(dirpath, f), os.path.join(tmp, rel, f))
-        os.rename(tmp, root2)
+        with publish(root2) as tmp:
+            for dirpath, _dirnames, filenames in os.walk(eng.table_root):
+                rel = os.path.relpath(dirpath, eng.table_root)
+                os.makedirs(os.path.join(tmp, rel), exist_ok=True)
+                for f in filenames:
+                    if f == "LOCK":
+                        continue  # advisory lock: each root owns its own
+                    link_or_copy(os.path.join(dirpath, f), os.path.join(tmp, rel, f))
         with open(marker, "w") as fh:
             fh.write(str(head))
     eng2 = CdcEngine(eng.log_dir, root2, eng.cfg)

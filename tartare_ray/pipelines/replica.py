@@ -55,6 +55,7 @@ from ..state.manifest import (
     load_generation,
     rollback_to,
 )
+from ..state.storage import TMP_SUFFIX, publish
 from .cdc import CdcEngine, EngineConfig
 
 
@@ -77,7 +78,7 @@ def _feed_dirs(log_root: str) -> list[str]:
     return sorted(
         os.path.join(log_root, n)
         for n in os.listdir(log_root)
-        if n.startswith("feed-e") and not n.endswith(".inprogress")
+        if n.startswith("feed-e") and not n.endswith(TMP_SUFFIX)
     )
 
 
@@ -95,20 +96,18 @@ def _marker_matches(final: str, epoch: int, ident: str, generation: int) -> bool
 
 
 def _write_feed(final: str, feed, marker: dict) -> None:
-    """One feed directory, tmp + rename: the feed's Parquet files and
-    its ``_source.json`` marker."""
-    tmp = final + ".inprogress"
-    shutil.rmtree(tmp, ignore_errors=True)
-    feed.write_parquet(tmp)
-    # empty feeds (compaction-only epochs) and zero-row files
-    # would break footer-range listing — drop them
-    for n in list(os.listdir(tmp)):
-        p = os.path.join(tmp, n)
-        if not n.endswith(".parquet") or pq.ParquetFile(p).metadata.num_rows == 0:
-            os.remove(p)
-    with open(os.path.join(tmp, "_source.json"), "w") as f:
-        json.dump(marker, f)
-    os.rename(tmp, final)
+    """One feed directory, published whole (replacing a stale one):
+    the feed's Parquet files and its ``_source.json`` marker."""
+    with publish(final) as tmp:
+        feed.write_parquet(tmp)
+        # empty feeds (compaction-only epochs) and zero-row files
+        # would break footer-range listing — drop them
+        for n in list(os.listdir(tmp)):
+            p = os.path.join(tmp, n)
+            if not n.endswith(".parquet") or pq.ParquetFile(p).metadata.num_rows == 0:
+                os.remove(p)
+        with open(os.path.join(tmp, "_source.json"), "w") as f:
+            json.dump(marker, f)
 
 
 def _prev_watermark(src: CdcEngine, m: Manifest) -> int:
@@ -146,7 +145,6 @@ def sync_replica(
                 # stale pre-rollback feed being redelivered with new
                 # content: the replica holds discarded data past here
                 divergence_bounds.append(_prev_watermark(src, m))
-                shutil.rmtree(final)
             _write_feed(final, feed, {"epoch": e, "identity": ident, "generation": gen})
         src.ack_changes(consumer_id, e)
     # feed dirs beyond the source's retained head: epochs a rollback

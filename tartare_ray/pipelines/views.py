@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..state.manifest import load_current, load_epoch
+from ..state.storage import storage_for
 from ..stages.kernels import fold_by_part
 
 NULL_GROUP = "\x00null"  # state key of a null group value
@@ -109,20 +109,14 @@ class EpochDeltaView:
         self.group_col = group_col
         self.val_col = val_col
         self.consumer = f"view.{name}"
-        self._dir = os.path.join(engine.table_root, "_views", name)
+        self._dir = f"_views/{name}"
 
     # -- persistence -------------------------------------------------------
-    def _path(self, epoch: int) -> str:
-        return os.path.join(self._dir, f"e{epoch:06d}.json")
+    def _key(self, epoch: int) -> str:
+        return f"{self._dir}/e{epoch:06d}.json"
 
     def _persist(self, epoch: int, state: dict) -> None:
-        os.makedirs(self._dir, exist_ok=True)
-        tmp = self._path(epoch) + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(state, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self._path(epoch))
+        storage_for(self.engine.table_root).write_atomic(self._key(epoch), json.dumps(state))
 
     # -- one epoch's delta rows ----------------------------------------------
     @staticmethod
@@ -164,14 +158,12 @@ class EpochDeltaView:
         if cur is None and epoch is None:
             return {}  # nothing committed yet: the empty view
         target = cur.epoch if epoch is None else epoch
-        names = os.listdir(self._dir) if os.path.isdir(self._dir) else []
+        st = storage_for(eng.table_root)
+        names = st.list(self._dir)
         saved = sorted(int(n[1:7]) for n in names if n.startswith("e") and n.endswith(".json"))
         cursor = eng.subscribe(self.consumer, saved[-1] if saved else 0)
         have = max((e for e in saved if e <= min(target, cursor)), default=0)
-        state = {}
-        if have:
-            with open(self._path(have)) as f:
-                state = json.load(f)
+        state = json.loads(st.read_text(self._key(have))) if have else {}
         if have == cursor < target:
             for e, feed in eng.consume(self.consumer):
                 if e > target:

@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 import pyarrow.csv as pacsv
 import ray.data
 
+from ..state.storage import publish
+
 
 def decode_tokens_batch(batch: pa.Table, col: str = "tokens") -> pa.Table:
     """'12 7 99' string column -> list<int32> (null-safe, vectorized)."""
@@ -59,7 +61,7 @@ def csv_log_to_parquet(csv_dir: str, parquet_dir: str) -> list[str]:
         import pyarrow.parquet as pq
 
         path = os.path.join(parquet_dir, f"events-{i:06d}.parquet")
-        pq.write_table(tbl, path + ".tmp")
-        os.replace(path + ".tmp", path)
+        with publish(path) as tmp:
+            pq.write_table(tbl, tmp)
         out.append(path)
     return out

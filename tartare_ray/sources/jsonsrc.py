@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..schema import CHANGE_SCHEMA
+from ..state.storage import publish
 
 _SCALARS = (
     ("lsn", pa.int64()),
@@ -112,8 +113,8 @@ def jsonl_log_to_parquet(jsonl_dir: str, parquet_dir: str) -> list[str]:
             except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
                 pass
         path = os.path.join(parquet_dir, f"events-{i:06d}.parquet")
-        pq.write_table(tbl, path + ".tmp")
-        os.replace(path + ".tmp", path)
+        with publish(path) as tmp:
+            pq.write_table(tbl, tmp)
         out.append(path)
         i += 1
     return out

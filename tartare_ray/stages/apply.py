@@ -25,9 +25,8 @@ its own winners and a per-partition task merges them afterwards.
    that epoch's change feed (lineage ``feed_file``).  ``mode="cow"``
    is the threshold 1 — every epoch folds, simplest reads, O(table)
    write amplification; ``mode="delta"`` folds at ``compact_chain_len``
-   chain files, or earlier once the chain's delta bytes reach
-   ``compact_delta_ratio`` × its base bytes — O(epoch winners) write
-   amplification, the 10^10-events path.
+   chain files — O(epoch winners) write amplification, the
+   10^10-events path.
 
 The driver deletes an epoch's split files once its manifest commits
 (``state/manifest.py::gc_orphans`` removes those a crash left behind),
@@ -35,7 +34,8 @@ so every epoch keeps exactly one winners file per touched partition.
 
 - schema evolution happens lazily per touched partition: parent files
   are conformed to the epoch's unified schema at load;
-- all writes are deterministic tmp-name + ``os.replace`` so a retried
+- every file lands through ``compact.write_data_file`` (one
+  ``state/storage.publish`` under a deterministic name), so a retried
   task overwrites itself with identical bytes (exactly-once);
 - the fold returns one lineage row per partition (p, file, kind, rows,
   lsn range, events_applied, bytes, feed_file) consumed by the
@@ -100,11 +100,10 @@ class MergeApplier:
         table_root: str,
         epoch: int,
         snapshot_schema: pa.Schema,
-        parent_chain: dict[int, list[dict]],  # p -> [{"file","kind"[,"bytes"]}…] epoch order
+        parent_chain: dict[int, list[dict]],  # p -> [{"file","kind"}…] epoch order
         compression: str = "zstd",
         mode: str = "cow",
         compact_chain_len: int = 8,
-        compact_delta_ratio: float | None = None,
     ):
         assert mode in ("cow", "delta")
         self.table_root = table_root
@@ -115,7 +114,6 @@ class MergeApplier:
         # chain length (parent files + this epoch's) at which the
         # partition folds into a fresh base; cow folds every epoch
         self.fold_at = 1 if mode == "cow" else compact_chain_len
-        self.compact_delta_ratio = compact_delta_ratio
         os.makedirs(os.path.join(table_root, "data"), exist_ok=True)
 
     def __call__(self, group: pa.Table) -> pa.Table:
@@ -160,8 +158,8 @@ class MergeApplier:
         delta = os.path.join("data", delta_file_name(p, self.epoch))
         write_data_file(os.path.join(self.table_root, delta), body, self.compression)
         chain = self.parent_chain.get(p, [])
-        delta_bytes = os.path.getsize(os.path.join(self.table_root, delta))
-        if not self._folds(chain, delta_bytes):
+        if len(chain) + 1 < self.fold_at:
+            delta_bytes = os.path.getsize(os.path.join(self.table_root, delta))
             row.update(file=delta, kind="delta", rows=len(body), bytes=delta_bytes)
         else:
             # FOLD: base + deltas + this epoch's winners into a fresh
@@ -179,19 +177,6 @@ class MergeApplier:
             )
         row["apply_ms"] = (time.perf_counter() - t0) * 1000.0
         return row
-
-    def _folds(self, chain: list[dict], delta_bytes: int) -> bool:
-        """Fold at the chain-length threshold, or — size-tiered — once
-        the chain's delta bytes (this epoch's included) reach
-        ``compact_delta_ratio`` × its base bytes: read amplification is
-        then bounded in bytes as well as in files."""
-        if len(chain) + 1 >= self.fold_at:
-            return True
-        if self.compact_delta_ratio is None:
-            return False
-        base_b = sum(e.get("bytes", 0) for e in chain if e["kind"] == "base")
-        delta_b = delta_bytes + sum(e.get("bytes", 0) for e in chain if e["kind"] != "base")
-        return delta_b >= self.compact_delta_ratio * base_b
 
 
 class SplitApplier:

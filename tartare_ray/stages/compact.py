@@ -29,6 +29,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..schema import conform
+from ..state.storage import publish
 from .kernels import key_hash, latest_per_key
 
 # Delta files carry the snapshot payload plus these envelope columns.
@@ -45,15 +46,13 @@ MAX_ROW_GROUPS = 64
 
 
 def write_data_file(path: str, tbl: pa.Table, compression: str = "zstd") -> None:
-    """Write one data file under its final name via tmp + ``os.replace``
-    — a retried task overwrites it with identical bytes (exactly-once)
-    and no reader ever sees a partial file."""
-    import os
-
-    tmp = path + ".inprogress"
+    """Write one data file under its final name through
+    ``state/storage.publish`` — a retried task overwrites it with
+    identical bytes (exactly-once) and no reader ever sees a partial
+    file.  Not fsynced: only the JSON records (``write_atomic``) are."""
     rows = max(MIN_ROW_GROUP, -(-len(tbl) // MAX_ROW_GROUPS))
-    pq.write_table(tbl, tmp, compression=compression, row_group_size=rows)
-    os.replace(tmp, path)
+    with publish(path) as tmp:
+        pq.write_table(tbl, tmp, compression=compression, row_group_size=rows)
 
 
 def merge_chain(

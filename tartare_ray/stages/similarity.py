@@ -264,6 +264,8 @@ class IVFIndexWriter:
 
         import pyarrow.parquet as pq
 
+        from ..state.storage import publish
+
         if len(batch) == 0:
             return pa.table({"cell": pa.array([], pa.int32()), "rows": pa.array([], pa.int64())})
         m = l2_normalize(embedding_matrix(batch))
@@ -283,9 +285,8 @@ class IVFIndexWriter:
             os.makedirs(d, exist_ok=True)
             sid = hashlib.blake2b(ids[s:e].tobytes(), digest_size=8).hexdigest()
             path = os.path.join(d, f"part-{sid}.parquet")
-            tmp = path + ".inprogress"
-            pq.write_table(batch.slice(s, e - s), tmp, compression="zstd")
-            os.replace(tmp, path)
+            with publish(path) as tmp:
+                pq.write_table(batch.slice(s, e - s), tmp, compression="zstd")
             out_c.append(c)
             out_n.append(e - s)
         return pa.table({"cell": pa.array(out_c, pa.int32()), "rows": pa.array(out_n, pa.int64())})

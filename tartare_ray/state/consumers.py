@@ -110,7 +110,7 @@ def list_consumers(table_root: str) -> dict[str, int]:
     st = _st(table_root)
     out = {}
     for n in st.list("_consumers"):
-        if n.endswith(".json") and not n.endswith(".tmp"):
+        if n.endswith(".json"):
             s = json.loads(st.read_text(f"_consumers/{n}"))
             out[s["consumer_id"]] = int(s["acked_epoch"])
     return out

@@ -17,8 +17,9 @@ table_root/
 ```
 
 Two-phase protocol: (1) every partition file and the epoch manifest
-are fully written (each via write-tmp + ``os.replace``); (2) CURRENT
-is swapped via ``os.replace`` — the linearization point.  A crash
+are fully written (data files through ``storage.publish``, the
+manifest through ``Storage.write_atomic``); (2) CURRENT is swapped by
+``Storage.cas`` — the linearization point.  A crash
 between phases leaves CURRENT at the parent epoch; replaying the same
 LSN range regenerates byte-identical partition files (the apply is
 deterministic), so re-running converges to the same committed state:
@@ -31,9 +32,12 @@ import base64
 import json
 import os
 import re
+import shutil
 from dataclasses import asdict, dataclass, field
 
 import pyarrow as pa
+
+from .storage import TMP_SUFFIX, storage_for
 
 
 @dataclass
@@ -117,8 +121,6 @@ def load_epoch(table_root: str, epoch: int) -> Manifest:
     """A committed epoch's manifest — time travel to any epoch still
     retained by ``gc_epochs`` (tartare's immutable dated Export
     analogue: every epoch is a readable artifact until GC'd)."""
-    from .storage import storage_for
-
     try:
         d = json.loads(storage_for(table_root).read_text(f"_manifests/e{epoch:06d}.json"))
     except FileNotFoundError:
@@ -131,8 +133,6 @@ def load_epoch(table_root: str, epoch: int) -> Manifest:
 
 
 def load_current(table_root: str) -> Manifest | None:
-    from .storage import storage_for
-
     try:
         epoch = int(storage_for(table_root).read_text("_manifests/CURRENT").strip())
     except FileNotFoundError:
@@ -152,8 +152,6 @@ def commit_manifest(table_root: str, m: Manifest, *, guard_parent: bool = False)
     multi-writer safety story; the flock is just the POSIX fast-fail.
     Publish/rollback keep the unguarded swap: they move CURRENT across
     generations/backwards by design and hold the destination lease."""
-    from .storage import storage_for
-
     st = storage_for(table_root)
     st.write_atomic(f"_manifests/e{m.epoch:06d}.json", json.dumps(asdict(m), indent=1))
     if not guard_parent:
@@ -182,8 +180,6 @@ def commit_manifest(table_root: str, m: Manifest, *, guard_parent: bool = False)
 
 def list_committed_epochs(table_root: str) -> list[int]:
     """Committed, un-GC'd epoch numbers, ascending (footer-only)."""
-    from .storage import storage_for
-
     return sorted(
         int(n[1:7])
         for n in storage_for(table_root).list("_manifests")
@@ -209,8 +205,6 @@ def gc_epochs(table_root: str, keep_last: int = 2) -> int:
 
 
 def _gc_epochs_locked(table_root: str, keep_last: int) -> int:
-    from .storage import storage_for
-
     st = storage_for(table_root)
     cur = load_current(table_root)
     if cur is None:
@@ -238,7 +232,7 @@ def _gc_epochs_locked(table_root: str, keep_last: int) -> int:
             if not os.path.isdir(sub):
                 continue
             for n in os.listdir(sub):
-                if n.startswith("base-e") and not n.endswith(".inprogress"):
+                if n.startswith("base-e") and not n.endswith(TMP_SUFFIX):
                     e = int(n[6:12])
                     if e in eset:
                         keep.add(e)
@@ -253,14 +247,10 @@ def _gc_epochs_locked(table_root: str, keep_last: int) -> int:
             if name.endswith(".parquet") and rel not in live:
                 os.remove(os.path.join(data, name))
                 removed += 1
-    import shutil
-
     for e in epochs:
         if e not in keep:
             st.delete(f"_manifests/e{e:06d}.json")
-            met = os.path.join(table_root, "_metrics", f"e{e:06d}.json")
-            if os.path.exists(met):
-                os.remove(met)
+            st.delete(f"_metrics/e{e:06d}.json")
             # dead-letter parquet of a dropped epoch can never be
             # requeued (requeue needs the epoch retained) — reclaim it
             q = os.path.join(table_root, "_quarantine", f"e{e:06d}")
@@ -277,8 +267,6 @@ def load_generation(table_root: str) -> int:
     consumers caching per-epoch artifacts key them by (epoch,
     generation) — the generation bump is what invalidates redelivered
     epochs' caches."""
-    from .storage import storage_for
-
     try:
         return int(storage_for(table_root).read_text("_manifests/GENERATION").strip())
     except FileNotFoundError:
@@ -301,11 +289,8 @@ def rollback_to(table_root: str, epoch: int) -> dict:
     future-epoch artifacts; re-running ``rollback_to(epoch)`` is
     idempotent and completes the cleanup — do that before the next
     write after a crashed rollback."""
-    import shutil
-
     from .consumers import clamp_all
     from .lock import WriterLock
-    from .storage import storage_for
 
     st = storage_for(table_root)
     with WriterLock(table_root):
@@ -334,9 +319,7 @@ def rollback_to(table_root: str, epoch: int) -> dict:
                     os.remove(path)
                     files_removed += 1
             st.delete(f"_manifests/e{e:06d}.json")
-            met = os.path.join(table_root, "_metrics", f"e{e:06d}.json")
-            if os.path.exists(met):
-                os.remove(met)
+            st.delete(f"_metrics/e{e:06d}.json")
             q = os.path.join(table_root, "_quarantine", f"e{e:06d}")
             if os.path.isdir(q):
                 shutil.rmtree(q)
@@ -399,26 +382,31 @@ _SPLIT_RE = re.compile(r"delta-\d+-e(\d+)-s[0-9a-f]+\.parquet")
 
 
 def gc_orphans(table_root: str) -> int:
-    """Remove what a crashed writer left behind: in-progress tmp files
-    (data parts plus manifest/consumer-cursor atomic writes) and split
-    files no commit will reference — those of an epoch above CURRENT
-    (a crash before the commit), and those of CURRENT that its manifest
-    does not name (a crash between the commit and the split cleanup).
-    Split files a committed manifest references (tables written by the
+    """Remove what a crash left behind: every unpublished
+    ``TMP_SUFFIX`` entry under the table root (data files, manifest,
+    cursor, metrics and view-checkpoint writes) and split files no
+    commit will reference — those of an epoch above CURRENT (a crash
+    before the commit), and those of CURRENT that its manifest does not
+    name (a crash between the commit and the split cleanup).  Split
+    files a committed manifest references (tables written by the
     earlier hash exchange) stay; older unreferenced ones are left to
-    ``gc_epochs``."""
+    ``gc_epochs``.  ``_indexes`` is skipped: an index update builds its
+    directories outside the writer lock and sweeps its own.  A view
+    checkpoint is written outside the lock too, but only for the moment
+    of one small write; if this sweep takes it, that ``update_to``
+    raises before its ack and a retry redoes the epoch."""
     n = 0
-    for sub, suffix in (
-        ("data", ".inprogress"),
-        ("_manifests", ".tmp"),
-        ("_consumers", ".tmp"),
-    ):
-        d = os.path.join(table_root, sub)
-        if os.path.isdir(d):
-            for name in os.listdir(d):
-                if name.endswith(suffix):
-                    os.remove(os.path.join(d, name))
-                    n += 1
+    for d, dirs, files in os.walk(table_root):
+        if d == table_root and "_indexes" in dirs:
+            dirs.remove("_indexes")
+        for name in [x for x in dirs if x.endswith(TMP_SUFFIX)]:
+            dirs.remove(name)
+            shutil.rmtree(os.path.join(d, name))
+            n += 1
+        for name in files:
+            if name.endswith(TMP_SUFFIX):
+                os.remove(os.path.join(d, name))
+                n += 1
     data = os.path.join(table_root, "data")
     splits = []
     if os.path.isdir(data):

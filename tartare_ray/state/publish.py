@@ -17,9 +17,9 @@ the chain (tartare's Job-failed semantics).
 from __future__ import annotations
 
 import os
-import shutil
 
 from .manifest import Manifest, commit_manifest, load_current
+from .storage import link_or_copy, publish, storage_for
 
 
 def publish_snapshot(table_root: str, dest_root: str) -> Manifest:
@@ -56,20 +56,12 @@ def publish_snapshot(table_root: str, dest_root: str) -> Manifest:
             # publish).  A mere name+size match is not proof of identity:
             # publishing a rebuilt table over an old destination must
             # replace the bytes, so anything else re-links/copies via
-            # tmp+rename (cheap, and readers never see a partial file).
+            # ``publish`` (cheap, and readers never see a partial file).
             if os.path.exists(dst) and os.path.samestat(os.stat(dst), os.stat(src)):
                 continue
-            tmp = dst + ".inprogress"
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            try:
-                os.link(src, tmp)
-            except OSError:
-                shutil.copyfile(src, tmp)
-            os.replace(tmp, dst)
+            with publish(dst) as tmp:
+                link_or_copy(src, tmp)
         # mirror the source's rollback generation, then swap CURRENT
-        from .storage import storage_for
-
         storage_for(dest_root).write_atomic("_manifests/GENERATION", str(gen))
         commit_manifest(dest_root, m)  # phase 2: atomic CURRENT swap
         return m

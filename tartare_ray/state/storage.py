@@ -33,11 +33,16 @@ manifest publish, and CURRENT swap through it, so pointing a table's
 state at an object store is a root-string (or registration) change,
 not an engine change.
 
-The DATA plane (partition parquet files) deliberately stays on
-path-addressed storage: files are immutable, content/deterministically
-named, and written tmp+rename by Ray tasks — any store with atomic
+The DATA plane (partition parquet files, index and replica feed
+directories, producer log files) stays on path-addressed storage:
+files are immutable, content/deterministically named, and each one
+lands through ``publish`` — the one seam that decides how a file or
+directory becomes visible (today: write under ``TMP_SUFFIX``, then
+rename; ``link_or_copy`` for hardlinked reuse).  Any store with atomic
 single-object publish works, and nothing below needs list-after-write
 consistency (readers only open files a committed manifest names).
+Small JSON records (view checkpoints, epoch metrics, export and
+multi-table markers) go through ``storage_for(root).write_atomic``.
 
 tartare keeps this state in MongoDB documents `[UNVERIFIED — empty
 checkout, SURVEY.md §0]`; the two-phase file commit replaces Mongo's
@@ -47,10 +52,42 @@ single-document atomicity.
 from __future__ import annotations
 
 import os
+import shutil
 import threading
 from contextlib import contextmanager
 
 from .lock import ConcurrentWriterError
+
+# Suffix of every not-yet-published file or directory; ``gc_orphans``
+# sweeps it from a table's directories after a crash.
+TMP_SUFFIX = ".inprogress"
+
+
+@contextmanager
+def publish(path: str):
+    """Yield a temp path beside ``path`` to write a file or directory
+    into; on a clean exit rename it over ``path``.  Readers never see a
+    partial write: a file is swapped atomically, and an existing final
+    directory is removed first (briefly absent, never half-written).
+    A retried writer starts from a cleared temp path."""
+    tmp = path + TMP_SUFFIX
+    if os.path.isdir(tmp):
+        shutil.rmtree(tmp)
+    elif os.path.lexists(tmp):
+        os.remove(tmp)
+    yield tmp
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    os.replace(tmp, path)
+
+
+def link_or_copy(src: str, dst: str) -> None:
+    """Hardlink ``src`` at ``dst``, or copy it where the filesystem
+    cannot link (cross-device, no hardlink support)."""
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copyfile(src, dst)
 
 
 class Storage:
@@ -118,12 +155,10 @@ class PosixStorage(Storage):
     def write_atomic(self, key: str, data: str) -> None:
         path = self._p(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
+        with publish(path) as tmp, open(tmp, "w") as f:
             f.write(data)
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
 
     @contextmanager
     def _cas_lock(self):
@@ -321,7 +356,7 @@ class FsspecStorage(Storage):
         parent = path.rsplit("/", 1)[0]
         self.fs.makedirs(parent, exist_ok=True)
         if self._fs_like:
-            tmp = path + ".tmp"
+            tmp = path + TMP_SUFFIX
             self.fs.pipe_file(tmp, data.encode())
             self.fs.mv(tmp, path)  # os.replace underneath on local
         else:

@@ -203,26 +203,3 @@ def test_targeted_compact_folds_only_selected(tmp_log, ray_session):
     # the rest folds on the full pass
     m2 = eng.compact()
     assert m2 is not None and all(pl.kind == "base" for pl in m2.partitions)
-
-
-def test_delta_ratio_compaction_trigger(tmp_log, ray_session):
-    """compact_delta_ratio: the fold task folds a partition in the same
-    epoch once its delta bytes reach ratio x base bytes, even far below
-    compact_chain_len."""
-    res, cfg, tmp_path = tmp_log
-    eng = CdcEngine(
-        os.path.dirname(res.files[0]),
-        str(tmp_path / "table-ratio"),
-        EngineConfig(
-            num_partitions=4, epoch_max_files=1, write_mode="delta",
-            compact_chain_len=1000,
-            compact_delta_ratio=0.0,  # any delta bytes trigger a fold
-        ),
-    )
-    m = eng.replay()
-    # every epoch ends compacted: the head manifest is all-base
-    assert all(pl.kind == "base" for pl in m.partitions)
-    snap, want = eng.snapshot_table(), replay_oracle(res.files)
-    assert snap["doc_id"].to_pylist() == want["doc_id"].to_pylist()
-    for col in want.schema.names:
-        assert snap[col].to_pylist() == want[col].to_pylist(), col
