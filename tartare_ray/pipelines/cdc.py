@@ -815,8 +815,15 @@ class CdcEngine:
         multi = [fs for fs in by_p.values() if len(fs) > 1]
         feeds = []
         if single:
+            # at most one read task per CPU and per winners file: with
+            # fewer files than twice the CPUs, Ray's default read splits
+            # each small file into several blocks, some of them empty
+            # and schemaless
+            cpus = int(ray.cluster_resources().get("CPU", 4))
             feeds.append(
-                ray.data.read_parquet(single).map_batches(
+                ray.data.read_parquet(
+                    single, override_num_blocks=min(len(single), cpus)
+                ).map_batches(
                     lambda b: conform(b, feed_schema),
                     batch_format="pyarrow",
                     zero_copy_batch=True,

@@ -7,15 +7,19 @@ per-epoch change feed alone:
     delta(group) = + contribution of each winner's NEW row
                    - contribution of the doc's PREVIOUS state
 
-``EpochDeltaView`` runs that one pass for every view.  Feed rows
-(``changes_dataset(epoch)``) go through ``fold_by_part`` on doc_id with
+``EpochDeltaView`` runs that one pass for every view, map-only: each
+block of the feed (``changes_dataset(epoch)``) is split by doc_id with
 the PARENT manifest's partition count — the table's own routing — and
-one call per TOUCHED partition resolves the previous state of its keys against that
-partition's parent chain via ``lookup_keys_in_chain`` — a newest-first
-suffix scan reading only (doc_id, group, value) + envelope columns that
-stops once every key is resolved, so hot keys resolve in the newest
-delta file and the fat base is often never opened.  I/O is
+each TOUCHED partition in it resolves the previous state of its keys
+against that partition's parent chain via ``lookup_keys_in_chain`` — a
+newest-first suffix scan reading only (doc_id, group, value) + envelope
+columns that stops once every key is resolved, so hot keys resolve in
+the newest delta file and the fat base is often never opened.  I/O is
 proportional to touched partitions' chain SUFFIXES, never the table.
+No shuffle is needed: a feed holds at most one row per doc_id (an
+epoch's winners, or ``consume``'s snapshot seed), and every reducer's
+rows fold on the driver, so a partition whose rows straddle blocks
+costs one more chain lookup, never a wrong answer.
 
 Each view supplies two pieces:
 
@@ -50,7 +54,7 @@ import pyarrow.compute as pc
 
 from ..state.manifest import load_current, load_epoch
 from ..state.storage import storage_for
-from ..stages.kernels import fold_by_part
+from ..stages.kernels import part_ids
 
 NULL_GROUP = "\x00null"  # state key of a null group value
 
@@ -71,9 +75,9 @@ def _agg_contrib(groups: np.ndarray, sums: np.ndarray, sign: int) -> dict[str, l
 
 
 def _part_delta(
-    g: pa.Table, *, table_root, chains, schema, group_col, val_col, reduce
+    g: pa.Table, p: int, *, table_root, chains, schema, group_col, val_col, reduce
 ) -> pa.Table:
-    """One touched partition's feed rows → ``reduce(old, new)``."""
+    """Feed rows of touched partition ``p`` → ``reduce(old, new)``."""
     from ..stages.compact import lookup_keys_in_chain
 
     def rows(t: pa.Table) -> pa.Table:
@@ -81,7 +85,7 @@ def _part_delta(
             {"doc_id": t["doc_id"], "g": t[group_col], "v": pc.cast(t[val_col], pa.float64())}
         )
 
-    chain = chains.get(int(g["part"][0].as_py()))
+    chain = chains.get(p)
     old = (
         lookup_keys_in_chain(
             table_root, chain, schema, g["doc_id"], ["doc_id", group_col, val_col]
@@ -93,13 +97,24 @@ def _part_delta(
     return reduce(rows(old), rows(live))
 
 
+def _block_delta(b: pa.Table, *, n_parts: int, **kw) -> pa.Table:
+    """One feed block → ``_part_delta`` of each partition it holds."""
+    parts = part_ids(b, ["doc_id"], n_parts)
+    return pa.concat_tables(
+        [_part_delta(b.filter(parts == p), int(p), **kw) for p in np.unique(parts)]
+    )
+
+
 class EpochDeltaView:
     """Per-epoch maintenance shared by the incremental views: JSON state
     per epoch under ``_views/<name>/``, the ``update_to`` loop, and the
-    one change-feed pass per epoch (``_epoch_rows``).  Subclasses set
-    ``_reduce`` (a staticmethod ``(old, new, **kw) -> pa.Table``; ``kw``
-    are the instance attributes named in ``_reduce_kw``) and ``_fold``
-    (driver side: state, rows, epoch → state), plus ``as_table``."""
+    one map-only change-feed pass per epoch (``_epoch_rows``: one
+    ``map_batches`` over the feed, ``_part_delta`` per partition of each
+    block).  Subclasses set ``_reduce`` (a staticmethod ``(old, new,
+    **kw) -> pa.Table``; ``kw`` are the instance attributes named in
+    ``_reduce_kw``) and ``_fold`` (driver side: state, rows, epoch →
+    state), plus ``as_table``.  One partition's feed rows may reach
+    ``_reduce`` over several calls; ``_fold`` combines their rows."""
 
     _reduce_kw: tuple[str, ...] = ()
 
@@ -135,8 +150,9 @@ class EpochDeltaView:
         # from the manifest, never the reader's config (an engine may
         # have repartitioned the table since this reader was built)
         P = (parent.num_partitions if parent else 0) or m.num_partitions
-        per_part = functools.partial(
-            _part_delta,
+        delta = functools.partial(
+            _block_delta,
+            n_parts=P,
             table_root=eng.table_root,
             chains=eng._chains(parent) if parent else {},
             schema=(parent or m).schema,
@@ -146,7 +162,9 @@ class EpochDeltaView:
                 type(self)._reduce, **{k: getattr(self, k) for k in self._reduce_kw}
             ),
         )
-        return fold_by_part(feed, "doc_id", per_part, P).take_all()
+        return feed.map_batches(
+            delta, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+        ).take_all()
 
     # -- public ------------------------------------------------------------
     def update_to(self, epoch: int | None = None) -> dict:

@@ -5,12 +5,15 @@ ships the engine to Ray."""
 
 from __future__ import annotations
 
+import logging
 import os
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 import tartare_ray.pipelines.cdc as cdc
 from tartare_ray.gen import GenConfig, generate_log
@@ -21,7 +24,8 @@ from tartare_ray.pipelines.views import (
     IncrementalQuantileView,
 )
 from tartare_ray.schema import CHANGE_SCHEMA
-from tartare_ray.state.manifest import gc_epochs, list_committed_epochs
+from tartare_ray.state.manifest import gc_epochs, list_committed_epochs, load_epoch
+from tartare_ray.stages.kernels import part_ids
 from tartare_ray.stages.sketch import dd_bucket, dd_value
 
 NULL = "\x00null"  # the views' key for a null group
@@ -191,3 +195,106 @@ def test_views_first_built_on_aged_table(ray_session, tmp_path, mode):
             got = v.as_table()
             assert got.equals(w), (head, v.name, got.to_pylist(), w.to_pylist())
         assert eng.consumers() == {"view.agg": head, "view.min": head, "view.q": head}
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def test_view_updates_keep_one_block_schema(ray_session, tmp_path):
+    """A view's fold emits blocks of one schema: Ray Data logs no
+    "different schema than the previous one" while three views catch
+    up over small epochs.  The min view keeps its default buffer, so
+    no group needs the snapshot rescan, which is a separate read."""
+    log = str(tmp_path / "log")
+    for i, rows in enumerate(EPOCHS[:3]):
+        _write_rows(f"{log}/events-{i:06d}.parquet", rows)
+    eng = CdcEngine(
+        log, str(tmp_path / "tbl"), EngineConfig(num_partitions=3, epoch_max_files=1)
+    )
+    views = [
+        IncrementalAggView(eng, "agg", "source", "n_tok"),
+        IncrementalMinMaxView(eng, "min", "source", "n_tok"),
+        IncrementalQuantileView(eng, "q", "source", "n_tok"),
+    ]
+    records = _Records()
+    ray_data = logging.getLogger("ray.data")
+    ray_data.addHandler(records)
+    try:
+        for _ in range(3):
+            eng.run_epoch()
+            for v in views:
+                v.update_to()
+    finally:
+        ray_data.removeHandler(records)
+    diverged = [m for m in records.messages if "different schema" in m]
+    assert not diverged, diverged
+
+
+def _one_row_per_doc(feed) -> int:
+    ids = [r["doc_id"] for r in feed.take_all()]
+    assert len(ids) == len(set(ids)), sorted(ids)
+    return len(ids)
+
+
+@pytest.mark.parametrize("mode", ["cow", "delta"])
+def test_views_fold_feed_in_any_blocking(ray_session, tmp_path, monkeypatch, mode):
+    """The views fold each feed block on its own, so they rest on the
+    feed holding at most one row per doc_id: an epoch's winners (a cow
+    ``feed_file`` or a delta file) and ``consume``'s snapshot seed.
+    Given that, a view is exact however the feed is cut into blocks,
+    here into 2-row blocks in doc_id order, so that parts straddle
+    blocks and blocks mix parts, through a delete, a group change and
+    a null group."""
+    log = str(tmp_path / "log")
+    for i, rows in enumerate(EPOCHS):
+        _write_rows(f"{log}/events-{i:06d}.parquet", rows)
+    eng = CdcEngine(
+        log,
+        str(tmp_path / "tbl"),
+        EngineConfig(num_partitions=3, epoch_max_files=1, write_mode=mode),
+    )
+    kinds = set()
+    for e in range(1, 4):
+        assert eng.run_epoch().epoch == e
+        touched = [pl for pl in load_epoch(eng.table_root, e).partitions if pl.epoch == e]
+        kinds |= {"feed_file" if pl.feed_file else pl.kind for pl in touched}
+        _one_row_per_doc(eng.changes_dataset(e))
+    assert kinds == {"cow": {"feed_file"}, "delta": {"delta"}}[mode]
+    gc_epochs(eng.table_root, keep_last=1)
+    eng.subscribe("probe")
+    (e, seed), = list(eng.consume("probe"))
+    assert e == 3
+    assert _one_row_per_doc(seed) == len(eng.snapshot_table())
+
+    cuts = Counter()
+
+    def recut(feed):
+        t = pa.concat_tables(t for t in ray.get(feed.to_arrow_refs()) if t.num_rows)
+        t = t.sort_by("doc_id")
+        blocks = [t.slice(i, 2) for i in range(0, len(t), 2)]
+        parts = [set(part_ids(b, ["doc_id"], 3).tolist()) for b in blocks]
+        cuts["mixed"] += sum(len(ps) > 1 for ps in parts)
+        cuts["straddled"] += sum(n > 1 for n in Counter(p for ps in parts for p in ps).values())
+        return ray.data.from_arrow(blocks)
+
+    consume = eng.consume
+    monkeypatch.setattr(eng, "consume", lambda cid: ((e, recut(f)) for e, f in consume(cid)))
+    views = [
+        IncrementalAggView(eng, "agg", "source", "n_tok"),
+        IncrementalMinMaxView(eng, "min", "source", "n_tok", buffer_n=2),
+        IncrementalQuantileView(eng, "q", "source", "n_tok"),
+    ]
+    for head in (3, 4, 5):
+        if head > 3:
+            assert eng.run_epoch().epoch == head
+        want = _direct_tables(eng.snapshot_table())
+        for v, w in zip(views, want):
+            got = v.as_table()
+            assert got.equals(w), (head, v.name, got.to_pylist(), w.to_pylist())
+    assert cuts["mixed"] and cuts["straddled"], cuts
