@@ -57,6 +57,7 @@ from ..state.manifest import (
 from ..state.late import quarantine_late
 from ..state.storage import publish
 from ..stages.apply import MergeApplier, SplitApplier
+from ..stages.kernels import map_items
 from ..stages.validate import ValidatePartitionStage
 
 
@@ -478,8 +479,8 @@ class CdcEngine:
         phases["split_s"] = round(time.perf_counter() - t_pipe, 3)
         # Step 2: one task per touched partition merges its split files
         # by LSN into the epoch's one winners file and folds the chain
-        # at its threshold (MergeApplier.fold_splits) — the same pattern
-        # as compaction, no shuffle.
+        # at its threshold (MergeApplier.fold_splits) — plain tasks, as
+        # compaction runs, no shuffle and no Ray Data execution.
         t_fold = time.perf_counter()
         by_p: dict[int, list[dict]] = {}
         for r in split_rows:
@@ -494,21 +495,15 @@ class CdcEngine:
             }
             for p, rs in sorted(by_p.items())
         ]
-        fold_ds = None
-        lineage_rows = []
-        if items:
-            applier = MergeApplier(
-                table_root=self.table_root,
-                epoch=epoch,
-                snapshot_schema=snap_schema,
-                parent_chain=parent_chain,
-                mode=self.cfg.write_mode,
-                compact_chain_len=self.cfg.compact_chain_len,
-            )
-            fold_ds = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-                applier.fold_splits, batch_format="pyarrow", batch_size=1
-            )
-            lineage_rows = fold_ds.take_all()  # one row per touched partition
+        applier = MergeApplier(
+            table_root=self.table_root,
+            epoch=epoch,
+            snapshot_schema=snap_schema,
+            parent_chain=parent_chain,
+            mode=self.cfg.write_mode,
+            compact_chain_len=self.cfg.compact_chain_len,
+        )
+        lineage_rows = map_items(applier.fold_splits, items)  # one row per touched partition
         phases["fold_s"] = round(time.perf_counter() - t_fold, 3)
         t_commit = time.perf_counter()
 
@@ -565,12 +560,11 @@ class CdcEngine:
             # epoch truncated before a poison file (operability signal)
             metrics["schema_conflict_file"] = self._schema_conflict
         try:
-            # per-operator execution profile (read/validate/split write,
-            # then the fold tasks: wall + memory), the ds.stats()
-            # feedback loop persisted per epoch so slow stages are
-            # diagnosable after the fact
-            stats = [d.stats() for d in (split_ds, fold_ds) if d is not None]
-            metrics["ray_stats"] = "\n".join(stats)[:4000]
+            # per-operator execution profile of read/validate/split
+            # write (wall + memory), persisted per epoch so slow stages
+            # are diagnosable after the fact; the fold tasks show in
+            # phases.fold_s and the straggler record
+            metrics["ray_stats"] = split_ds.stats()[:4000]
         except Exception:
             pass
         write_epoch_metrics(self.table_root, metrics)
@@ -775,6 +769,30 @@ class CdcEngine:
         cols = m.schema if m is not None else BASE_SCHEMA
         return pa.schema([CHANGE_SCHEMA.field("op"), CHANGE_SCHEMA.field("lsn"), *cols])
 
+    def _feed_files(self, m: Manifest) -> dict[int, list[str]]:
+        """Each touched partition's change feed at epoch ``m.epoch``:
+        the winners file the epoch wrote for it — its delta, or the
+        ``feed_file`` beside a base it folded — or, on epochs written by
+        the earlier hash exchange, several split files (``read_feed``
+        folds those).  Raises ``LookupError`` when the epoch folded
+        events into a base but its manifest predates stored feed
+        files."""
+        by_p: dict[int, list[str]] = {}
+        for pl in m.partitions:
+            if pl.epoch != m.epoch:
+                continue  # carried forward from an older epoch
+            if pl.kind == "delta":
+                by_p.setdefault(pl.p, []).append(pl.file)
+            elif pl.feed_file is not None:
+                by_p.setdefault(pl.p, []).append(pl.feed_file)
+            elif pl.events_applied:
+                raise LookupError(
+                    f"epoch {m.epoch} of {self.table_root!r} folded partition "
+                    f"{pl.p} without keeping its winners file (manifest written "
+                    "before feed files were stored) — its change feed is gone"
+                )
+        return by_p
+
     def changes_dataset(self, epoch: int) -> ray.data.Dataset:
         """The downstream change feed of one committed epoch: the
         latest-per-key winners it applied, tombstones included, with
@@ -789,26 +807,11 @@ class CdcEngine:
         (compaction, backfill, repartition, column drop) have an empty
         feed.  Raises ``LookupError`` when the epoch folded events into
         a base but its manifest predates stored feed files."""
-        import json as _json
-
-        from ..stages.kernels import latest_per_key
+        from ..stages.compact import read_feed
 
         m = load_epoch(self.table_root, epoch)
         feed_schema = self._feed_schema(m)
-        by_p: dict[int, list[str]] = {}
-        for pl in m.partitions:
-            if pl.epoch != epoch:
-                continue  # carried forward from an older epoch
-            if pl.kind == "delta":
-                by_p.setdefault(pl.p, []).append(pl.file)
-            elif pl.feed_file is not None:
-                by_p.setdefault(pl.p, []).append(pl.feed_file)
-            elif pl.events_applied:
-                raise LookupError(
-                    f"epoch {epoch} of {self.table_root!r} folded partition "
-                    f"{pl.p} without keeping its winners file (manifest written "
-                    "before feed files were stored) — its change feed is gone"
-                )
+        by_p = self._feed_files(m)
         if not by_p:
             return ray.data.from_arrow(feed_schema.empty_table())
         single = [f"{self.table_root}/{fs[0]}" for fs in by_p.values() if len(fs) == 1]
@@ -836,16 +839,10 @@ class CdcEngine:
             root = self.table_root
 
             def fold(b: pa.Table) -> pa.Table:
-                outs = []
-                for row in b.to_pylist():
-                    ts = [
-                        conform(pq.read_table(f"{root}/{f}"), feed_schema)
-                        for f in _json.loads(row["files_json"])
-                    ]
-                    outs.append(latest_per_key(pa.concat_tables(ts), "doc_id", "lsn"))
-                return pa.concat_tables(outs) if outs else feed_schema.empty_table()
+                fss = b["files_json"].to_pylist()
+                return pa.concat_tables([read_feed(root, json.loads(fs), feed_schema) for fs in fss])
 
-            items = [{"files_json": _json.dumps(fs)} for fs in multi]
+            items = [{"files_json": json.dumps(fs)} for fs in multi]
             feeds.append(
                 ray.data.from_items(items).map_batches(
                     fold, batch_format="pyarrow", batch_size=1
@@ -954,17 +951,25 @@ class CdcEngine:
 
     def consume(self, consumer_id: str):
         """Generator over the consumer's unacked epochs, in commit
-        order: yields ``(epoch, changes_dataset(epoch))``.  The caller
-        applies each feed downstream, then calls ``ack_changes`` — a
-        crash before the ack re-delivers that epoch on the next
-        ``consume`` (at-least-once of an idempotent latest-per-key
-        feed ⇒ exactly-once end-to-end).  Epochs committed while the
+        order (``consume_epochs``): yields ``(epoch,
+        changes_dataset(epoch))``, or ``(E, _seed_feed(E))`` for a seed.
+        The caller applies each feed downstream, then calls
+        ``ack_changes`` — a crash before the ack re-delivers that epoch
+        on the next ``consume`` (at-least-once of an idempotent
+        latest-per-key feed ⇒ exactly-once end-to-end).  A consumer that
+        reads the feed files itself (the views) walks
+        ``consume_epochs`` instead and builds no feed Dataset."""
+        for e, seed in self.consume_epochs(consumer_id):
+            yield e, (self._seed_feed(e) if seed else self.changes_dataset(e))
+
+    def consume_epochs(self, consumer_id: str):
+        """The consumer's cursor walk: yields ``(epoch, seed)`` for each
+        unacked epoch, in commit order.  Epochs committed while the
         generator is live are picked up too (cursor + committed list
-        re-checked per step), so ``for e, ds in eng.consume(cid)`` in
-        a tail loop drains continuously.  When epoch cursor+1 is GC'd,
-        the first yield is ``(E, _seed_feed(E))`` for the oldest
-        retained E — the only yield whose epoch is not cursor+1: the
-        consumer replaces its state with that snapshot."""
+        re-checked per step), so a tail loop drains continuously.  When
+        epoch cursor+1 is GC'd, the first yield is ``(E, True)`` for the
+        oldest retained E — the only yield whose epoch is not cursor+1:
+        the consumer replaces its state with the snapshot at E."""
         from ..state.consumers import load_cursor
         from ..state.manifest import list_committed_epochs
 
@@ -976,9 +981,9 @@ class CdcEngine:
             if not pending:
                 return
             e = pending[0]
-            yield e, (self.changes_dataset(e) if e == cur + 1 else self._seed_feed(e))
+            yield e, e != cur + 1
             # re-read: the consumer may have acked (normal), or not
-            # (it will see this epoch again on the next consume call)
+            # (it will see this epoch again on the next walk)
             acked = load_cursor(self.table_root, consumer_id)
             cur = max(cur if acked is None else acked, e)
 
@@ -1244,16 +1249,9 @@ class CdcEngine:
             ]
             if not items:
                 return None
-            lineage_rows = (
-                ray.data.from_items(items)
-                .map_batches(
-                    PartitionBackfiller(
-                        self.table_root, cur.schema_b64, epoch, column, fn
-                    ),
-                    batch_format="pyarrow",
-                    batch_size=1,
-                )
-                .take_all()
+            lineage_rows = map_items(
+                PartitionBackfiller(self.table_root, cur.schema_b64, epoch, column, fn),
+                items,
             )
             touched = {int(r["p"]) for r in lineage_rows}
             partitions = [
@@ -1322,14 +1320,8 @@ class CdcEngine:
         ]
         if not items:
             return None
-        lineage_rows = (
-            ray.data.from_items(items)
-            .map_batches(
-                PartitionCompactor(self.table_root, cur.schema_b64, epoch),
-                batch_format="pyarrow",
-                batch_size=1,
-            )
-            .take_all()
+        lineage_rows = map_items(
+            PartitionCompactor(self.table_root, cur.schema_b64, epoch), items
         )
         touched = {int(r["p"]) for r in lineage_rows}
         partitions = [

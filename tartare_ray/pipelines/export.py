@@ -38,11 +38,11 @@ import json
 import os
 
 import pyarrow as pa
-
-import ray.data
+import ray
 
 from ..state.manifest import load_current, load_epoch, load_generation
 from ..state.storage import link_or_copy, publish, storage_for
+from ..stages.kernels import map_items
 from ..stages.pack import pack_batch
 
 
@@ -250,12 +250,7 @@ def export_training_shards(
             )
         else:
             items.append({"p": p, "chain_json": chain_json})
-    if items:
-        lineage += (
-            ray.data.from_items(items)
-            .map_batches(stage, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )  # O(partitions) descriptor rows
+    lineage += map_items(stage, items)  # O(partitions) descriptor rows
     shards = sorted(lineage, key=lambda r: int(r["p"]))
     manifest = {
         "source_table": engine.table_root,

@@ -7,19 +7,23 @@ per-epoch change feed alone:
     delta(group) = + contribution of each winner's NEW row
                    - contribution of the doc's PREVIOUS state
 
-``EpochDeltaView`` runs that one pass for every view, map-only: each
-block of the feed (``changes_dataset(epoch)``) is split by doc_id with
-the PARENT manifest's partition count — the table's own routing — and
-each TOUCHED partition in it resolves the previous state of its keys
-against that partition's parent chain via ``lookup_keys_in_chain`` — a
-newest-first suffix scan reading only (doc_id, group, value) + envelope
-columns that stops once every key is resolved, so hot keys resolve in
-the newest delta file and the fat base is often never opened.  I/O is
-proportional to touched partitions' chain SUFFIXES, never the table.
-No shuffle is needed: a feed holds at most one row per doc_id (an
-epoch's winners, or ``consume``'s snapshot seed), and every reducer's
-rows fold on the driver, so a partition whose rows straddle blocks
-costs one more chain lookup, never a wrong answer.
+``EpochDeltaView`` runs that one pass for every view as one plain Ray
+task per partition the epoch touched (``kernels.map_items``, at most
+one task per CPU in flight), with no feed Dataset and no Ray Data
+execution.  Each task reads only the (op, lsn, doc_id, group, value)
+columns of its partition's winners file (``CdcEngine._feed_files``) —
+or, for ``consume``'s snapshot seed, its chain at the epoch, merged and
+cut to those columns — and splits them by doc_id with the PARENT manifest's partition count,
+the table's own routing (``_block_delta``).  Each partition resolves
+the previous state of its keys against its parent chain via
+``lookup_keys_in_chain`` — a newest-first suffix scan reading only
+(doc_id, group, value) + envelope columns that stops once every key is
+resolved, so hot keys resolve in the newest delta file and the fat
+base is often never opened.  I/O is proportional to touched
+partitions' feed files and chain SUFFIXES, never the table.  No
+shuffle is needed: a feed holds at most one row per doc_id (an epoch's
+winners, or the seed), and every reducer's rows fold on the driver, so
+``_block_delta`` is exact on any cut of the feed.
 
 Each view supplies two pieces:
 
@@ -52,9 +56,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..schema import conform
 from ..state.manifest import load_current, load_epoch
 from ..state.storage import storage_for
-from ..stages.kernels import part_ids
+from ..stages.kernels import map_items, part_ids
 
 NULL_GROUP = "\x00null"  # state key of a null group value
 
@@ -105,16 +110,33 @@ def _block_delta(b: pa.Table, *, n_parts: int, **kw) -> pa.Table:
     )
 
 
+def _feed_delta(item: pa.Table, *, feed_schema: pa.Schema, **kw) -> pa.Table:
+    """One touched partition's feed, read in its own task: the winners
+    file(s) named by ``feed_json``, or for a seed the chain named by
+    ``chain_json`` merged (live rows, ``op`` null) → ``_block_delta``."""
+    from ..stages.compact import read_chain, read_feed
+
+    row = item.to_pylist()[0]
+    if row.get("chain_json"):
+        chain = json.loads(row["chain_json"])
+        rows = conform(read_chain(kw["table_root"], chain, kw["schema"]), feed_schema)
+    else:
+        rows = read_feed(kw["table_root"], json.loads(row["feed_json"]), feed_schema)
+    return _block_delta(rows, **kw) if len(rows) else pa.table({})
+
+
 class EpochDeltaView:
     """Per-epoch maintenance shared by the incremental views: JSON state
-    per epoch under ``_views/<name>/``, the ``update_to`` loop, and the
-    one map-only change-feed pass per epoch (``_epoch_rows``: one
-    ``map_batches`` over the feed, ``_part_delta`` per partition of each
-    block).  Subclasses set ``_reduce`` (a staticmethod ``(old, new,
-    **kw) -> pa.Table``; ``kw`` are the instance attributes named in
-    ``_reduce_kw``) and ``_fold`` (driver side: state, rows, epoch →
-    state), plus ``as_table``.  One partition's feed rows may reach
-    ``_reduce`` over several calls; ``_fold`` combines their rows."""
+    per epoch under ``_views/<name>/``, the ``update_to`` loop over
+    ``consume_epochs``, and the one change-feed pass per epoch
+    (``_epoch_rows``: one Ray task per touched partition, which reads
+    that partition's feed and runs ``_part_delta`` on it).  Subclasses
+    set ``_reduce`` (a staticmethod ``(old, new, **kw) -> pa.Table``;
+    ``kw`` are the instance attributes named in ``_reduce_kw``) and
+    ``_fold`` (driver side: state, rows, epoch → state), plus
+    ``as_table``.  One partition's feed rows may reach ``_reduce`` over
+    several calls (after a repartition, or on any other cut of the
+    feed); ``_fold`` combines their rows."""
 
     _reduce_kw: tuple[str, ...] = ()
 
@@ -141,17 +163,16 @@ class EpochDeltaView:
     def _fold(self, state: dict, rows: list[dict], epoch: int) -> dict:
         raise NotImplementedError
 
-    def _epoch_rows(self, epoch: int, feed, seed: bool) -> list[dict]:
+    def _delta_kw(self, m, seed: bool) -> dict:
+        """``_block_delta``'s arguments for the feed of epoch ``m``."""
         eng = self.engine
-        m = load_epoch(eng.table_root, epoch)
         pe = None if seed else m.parent_epoch  # a seed (snapshot) has no old rows
         parent = None if pe is None else load_epoch(eng.table_root, pe)
         # the key→part mapping the PARENT chains were written with —
         # from the manifest, never the reader's config (an engine may
         # have repartitioned the table since this reader was built)
         P = (parent.num_partitions if parent else 0) or m.num_partitions
-        delta = functools.partial(
-            _block_delta,
+        return dict(
             n_parts=P,
             table_root=eng.table_root,
             chains=eng._chains(parent) if parent else {},
@@ -162,9 +183,22 @@ class EpochDeltaView:
                 type(self)._reduce, **{k: getattr(self, k) for k in self._reduce_kw}
             ),
         )
-        return feed.map_batches(
-            delta, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        ).take_all()
+
+    def _epoch_rows(self, epoch: int, seed: bool) -> list[dict]:
+        eng = self.engine
+        m = load_epoch(eng.table_root, epoch)
+        full = eng._feed_schema(m)
+        cols = dict.fromkeys(["op", "lsn", "doc_id", self.group_col, self.val_col])
+        if seed:
+            items = [{"chain_json": json.dumps(c)} for _, c in sorted(eng._chains(m).items())]
+        else:
+            items = [{"feed_json": json.dumps(f)} for _, f in sorted(eng._feed_files(m).items())]
+        delta = functools.partial(
+            _feed_delta,
+            feed_schema=pa.schema([full.field(c) for c in cols]),
+            **self._delta_kw(m, seed),
+        )
+        return map_items(delta, items)
 
     # -- public ------------------------------------------------------------
     def update_to(self, epoch: int | None = None) -> dict:
@@ -183,11 +217,10 @@ class EpochDeltaView:
         have = max((e for e in saved if e <= min(target, cursor)), default=0)
         state = json.loads(st.read_text(self._key(have))) if have else {}
         if have == cursor < target:
-            for e, feed in eng.consume(self.consumer):
+            for e, seed in eng.consume_epochs(self.consumer):
                 if e > target:
                     break
-                seed = e != have + 1  # consume's seed: the snapshot at e
-                state = self._fold({} if seed else state, self._epoch_rows(e, feed, seed), e)
+                state = self._fold({} if seed else state, self._epoch_rows(e, seed), e)
                 self._persist(e, state)
                 have = eng.ack_changes(self.consumer, e)
         if have != target:

@@ -14,8 +14,9 @@ its own winners and a per-partition task merges them afterwards.
    ``delta-{p}-e{E}-s{sid}.parquet``.  No task ever holds more than
    one block, so a hot key's epoch spreads over as many writers as
    there are blocks.
-2. ``MergeApplier.fold_splits`` runs once per touched partition
-   (``from_items(...).map_batches(..., batch_size=1)``).  It merges the
+2. ``MergeApplier.fold_splits`` runs once per touched partition, as
+   a plain Ray task (``kernels.map_items``, at most one task per CPU in
+   flight; no Ray Data execution).  It merges the
    partition's split files by LSN into the epoch's one winners file
    ``delta-{p}-e{E}.parquet`` (tombstones included).  A partition's
    state is the base + ordered delta chain, folded at read by

@@ -107,6 +107,13 @@ def merge_chain(
     return live.drop_columns(drop)
 
 
+def _read_columns(path: str, want: list[str]) -> pa.Table:
+    """The columns of ``want`` that the data file at ``path`` has."""
+    with pq.ParquetFile(path) as pf:
+        have = set(pf.schema_arrow.names)
+        return pf.read(columns=[c for c in want if c in have])
+
+
 def read_chain(
     table_root: str,
     chain: list[dict],
@@ -119,6 +126,23 @@ def read_chain(
 
     tables = [pq.read_table(os.path.join(table_root, e["file"])) for e in chain]
     return merge_chain(tables, snapshot_schema, keep_hash=keep_hash)
+
+
+def read_feed(table_root: str, files: list[str], feed_schema: pa.Schema) -> pa.Table:
+    """One partition's change feed at one epoch (``CdcEngine._feed_files``)
+    conformed to ``feed_schema``, reading only its columns.  Several
+    files (split files of an epoch written by the earlier hash
+    exchange, each with at most one winner per doc) fold by LSN, so
+    ``feed_schema`` must then hold ``doc_id`` and ``lsn``."""
+    import os
+
+    tables = [
+        conform(_read_columns(os.path.join(table_root, f), feed_schema.names), feed_schema)
+        for f in files
+    ]
+    if len(tables) == 1:
+        return tables[0]
+    return latest_per_key(pa.concat_tables(tables), "doc_id", "lsn")
 
 
 _EPOCH_RE = None

@@ -9,6 +9,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 # Fixed key => deterministic across processes/runs (required: a retried
 # task must route every doc_id to the same partition).
@@ -78,8 +79,6 @@ def fold_by_part(ds, keys: str | list[str], fn, n_parts: int | None = None):
     reaches the same call, so ``fn`` folds all of a part's keys in one
     vectorized pass — O(parts) Python calls, not O(keys), and no single
     key's history must fit a group of its own."""
-    import ray
-
     keys = [keys] if isinstance(keys, str) else list(keys)
     # default: two parts per CPU, floor 4 — enough that one hot part
     # does not serialize the fold, few enough that each call folds a
@@ -94,6 +93,48 @@ def fold_by_part(ds, keys: str | list[str], fn, n_parts: int | None = None):
         .groupby("part")
         .map_groups(fn, batch_format="pyarrow")
     )
+
+
+@ray.remote(
+    max_retries=-1,
+    retry_exceptions=[ray.exceptions.RaySystemError],
+    scheduling_strategy="DEFAULT",
+)
+def _map_item(fn, item: dict) -> list[dict]:
+    return fn(pa.Table.from_pylist([item])).to_pylist()
+
+
+def map_items(fn, items: list[dict]) -> list[dict]:
+    """The one list-map: ``fn`` over each item of an O(partitions) list
+    as plain Ray tasks, with no Ray Data execution to start.  Each call
+    gets its item as a one-row table, the batch a ``map_batches(...,
+    batch_size=1)`` stage gets, so stage callables run unchanged; the
+    result is every row they return, in input order.
+
+    At most one task is in flight per cluster CPU (``ray.wait`` refills
+    the window): a whole list submitted at once makes Ray start a
+    worker per task.  ``fn`` is ``ray.put`` once (after the first task,
+    which carries it by value), not pickled per task.
+    Tasks retry as Ray Data's do (``max_retries=-1``, system errors
+    included), so ``fn`` must be safe to re-run, as every stage that
+    writes under a deterministic name is.  A failed task stops the
+    fan-out: its error is raised once ``ray.wait`` returns it, and no
+    later item is submitted."""
+    if not items:
+        return []
+    # ``.remote`` joins or starts the session as Ray Data would; ``put``
+    # and ``cluster_resources`` do not, so they come after the first task
+    refs = [_map_item.remote(fn, items[0])]
+    fn_ref = ray.put(fn)
+    window = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    in_flight = list(refs)
+    for item in items[1:]:
+        if len(in_flight) >= window:
+            done, in_flight = ray.wait(in_flight, num_returns=1)
+            ray.get(done)
+        refs.append(_map_item.remote(fn_ref, item))
+        in_flight.append(refs[-1])
+    return [row for rows in ray.get(refs) for row in rows]
 
 
 def _first_occurrence_mask(arr: pa.Array) -> pa.BooleanArray:

@@ -22,6 +22,7 @@ from tartare_ray.pipelines.views import (
     IncrementalAggView,
     IncrementalMinMaxView,
     IncrementalQuantileView,
+    _block_delta,
 )
 from tartare_ray.schema import CHANGE_SCHEMA
 from tartare_ray.state.manifest import gc_epochs, list_committed_epochs, load_epoch
@@ -243,14 +244,16 @@ def _one_row_per_doc(feed) -> int:
 
 
 @pytest.mark.parametrize("mode", ["cow", "delta"])
-def test_views_fold_feed_in_any_blocking(ray_session, tmp_path, monkeypatch, mode):
-    """The views fold each feed block on its own, so they rest on the
-    feed holding at most one row per doc_id: an epoch's winners (a cow
+def test_views_fold_feed_in_any_blocking(ray_session, tmp_path, mode):
+    """A view's per-partition step (``_block_delta``) rests on the feed
+    holding at most one row per doc_id: an epoch's winners (a cow
     ``feed_file`` or a delta file) and ``consume``'s snapshot seed.
-    Given that, a view is exact however the feed is cut into blocks,
-    here into 2-row blocks in doc_id order, so that parts straddle
-    blocks and blocks mix parts, through a delete, a group change and
-    a null group."""
+    Given that, it is exact however the feed is cut into blocks: here
+    each feed is cut into 2-row blocks in doc_id order, so that parts
+    straddle blocks and blocks mix parts, and each view folds
+    ``_block_delta`` of every block, through the seed after
+    ``gc_epochs``, a delete, a group change and a null group.  The
+    views' own pass (one task per touched partition) agrees."""
     log = str(tmp_path / "log")
     for i, rows in enumerate(EPOCHS):
         _write_rows(f"{log}/events-{i:06d}.parquet", rows)
@@ -274,27 +277,63 @@ def test_views_fold_feed_in_any_blocking(ray_session, tmp_path, monkeypatch, mod
 
     cuts = Counter()
 
-    def recut(feed):
+    def blocks(feed) -> list[pa.Table]:
         t = pa.concat_tables(t for t in ray.get(feed.to_arrow_refs()) if t.num_rows)
         t = t.sort_by("doc_id")
-        blocks = [t.slice(i, 2) for i in range(0, len(t), 2)]
-        parts = [set(part_ids(b, ["doc_id"], 3).tolist()) for b in blocks]
+        bs = [t.slice(i, 2) for i in range(0, len(t), 2)]
+        parts = [set(part_ids(b, ["doc_id"], 3).tolist()) for b in bs]
         cuts["mixed"] += sum(len(ps) > 1 for ps in parts)
         cuts["straddled"] += sum(n > 1 for n in Counter(p for ps in parts for p in ps).values())
-        return ray.data.from_arrow(blocks)
+        return bs
 
-    consume = eng.consume
-    monkeypatch.setattr(eng, "consume", lambda cid: ((e, recut(f)) for e, f in consume(cid)))
     views = [
         IncrementalAggView(eng, "agg", "source", "n_tok"),
         IncrementalMinMaxView(eng, "min", "source", "n_tok", buffer_n=2),
         IncrementalQuantileView(eng, "q", "source", "n_tok"),
     ]
+    states = {v.name: {} for v in views}
     for head in (3, 4, 5):
-        if head > 3:
+        seed = head == 3
+        if not seed:
             assert eng.run_epoch().epoch == head
-        want = _direct_tables(eng.snapshot_table())
-        for v, w in zip(views, want):
-            got = v.as_table()
-            assert got.equals(w), (head, v.name, got.to_pylist(), w.to_pylist())
+        m = load_epoch(eng.table_root, head)
+        feed = blocks(eng._seed_feed(head) if seed else eng.changes_dataset(head))
+        for v in views:
+            kw = v._delta_kw(m, seed)
+            rows = [r for b in feed for r in _block_delta(b, **kw).to_pylist()]
+            states[v.name] = v._fold({} if seed else states[v.name], rows, head)
+        want_agg, want_min, want_q = _direct(eng.snapshot_table())
+        assert states["agg"] == want_agg, head
+        assert {k: ent["buf"][0][0] for k, ent in states["min"].items()} == want_min, head
+        assert states["q"] == want_q, head
+        for v in views:
+            assert v.update_to() == states[v.name], (head, v.name)
     assert cuts["mixed"] and cuts["straddled"], cuts
+
+
+def test_consume_epochs_walks_as_consume(ray_session, tmp_path):
+    """``consume_epochs`` yields the epochs ``consume`` delivers, the
+    seed included, and re-delivers an epoch that was not acked."""
+    log = str(tmp_path / "log")
+    for i, rows in enumerate(EPOCHS):
+        _write_rows(f"{log}/events-{i:06d}.parquet", rows)
+    eng = CdcEngine(log, str(tmp_path / "tbl"), EngineConfig(num_partitions=3, epoch_max_files=1))
+    for _ in range(3):
+        eng.run_epoch()
+    gc_epochs(eng.table_root, keep_last=1)
+    eng.run_epoch()
+    eng.run_epoch()
+    for cid in ("walk", "feed"):
+        eng.subscribe(cid)
+    unacked = list(eng.consume_epochs("walk"))
+    walked, fed = [], []
+    for e, seed in eng.consume_epochs("walk"):
+        walked.append((e, seed))
+        eng.ack_changes("walk", e)
+    for e, feed in eng.consume("feed"):
+        fed.append((e, feed.count()))
+        eng.ack_changes("feed", e)
+    assert walked == unacked == [(3, True), (4, False), (5, False)]  # re-delivered
+    assert [e for e, _ in fed] == [e for e, _ in walked]
+    assert fed[0][1] == len(eng.snapshot_table(epoch=3))  # the seed
+    assert fed[1:] == [(e, eng.changes_dataset(e).count()) for e in (4, 5)]
